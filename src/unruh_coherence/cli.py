@@ -15,6 +15,7 @@ Flags given on the command line take precedence over the file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import CoherenceError
@@ -129,6 +130,10 @@ def _validate(parser, ns):
     for flag in _REQUIRED_FLAGS[ns.command]:
         _check(parser, getattr(ns, _dest(flag)) is not None,
                f"missing required flag --{flag}")
+    for flag, kind in _COMMAND_FLAGS[ns.command].items():
+        if kind is float:
+            value = getattr(ns, _dest(flag))
+            _check(parser, math.isfinite(value), f"--{flag} must be finite, got {value}")
     c = ns.command
     if c in ("eval", "spectra"):
         _check(parser, 0.0 <= ns.q <= 1.0, f"--q must lie in [0, 1], got {ns.q}")

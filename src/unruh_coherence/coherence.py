@@ -35,7 +35,8 @@ from .linalg import (
 )
 
 # A squared divergence in [-RADICAND_TOL, 0) is round-off and clips to
-# zero; anything more negative signals an inconsistent entropy triple.
+# zero; anything more negative, or NaN, signals an inconsistent entropy
+# triple.
 RADICAND_TOL = 1e-12
 
 
@@ -43,7 +44,7 @@ def sqrt_clipped(radicand):
     """sqrt with the small-negative clipping policy applied."""
     rad = np.asarray(radicand, dtype=float)
     low = float(np.min(rad)) if rad.size else 0.0
-    if low < -RADICAND_TOL:
+    if not low >= -RADICAND_TOL:
         raise NumericalConsistencyError(
             f"negative squared divergence {low:.6e} exceeds round-off tolerance"
         )

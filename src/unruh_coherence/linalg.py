@@ -2,10 +2,11 @@
 
 Everything here operates on explicit numpy arrays.  Matrices may carry
 arbitrary leading batch axes; the last two axes are the matrix proper.
-Eigenvalues come from a hand-rolled cyclic Jacobi iteration on the real
-symmetric embedding of the Hermitian input, vectorised over the batch,
-so results are bit-for-bit reproducible across runs on the same
-platform and do not depend on LAPACK dispatch.
+Eigenvalues come from a hand-rolled cyclic complex Jacobi iteration
+applied to the Hermitian input directly and vectorised over the batch.
+Convergence is tested per matrix, so results are bit-for-bit
+reproducible across runs on the same platform, do not depend on the
+rest of the batch, and do not depend on LAPACK dispatch.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ DEFAULT_TOL = 1e-9
 # genuine positivity violation and raises.
 EIGENVALUE_CLIP_TOL = 1e-12
 
-# Jacobi sweep control: converged once the off-diagonal Frobenius norm
-# of every matrix in the batch falls below _OFFDIAG_TOL.
+# Jacobi sweep control: a matrix has converged once the Frobenius norm
+# of its off-diagonal part falls below _OFFDIAG_TOL.
 _OFFDIAG_TOL = 1e-13
 _MAX_SWEEPS = 100
+_TINY = np.finfo(float).tiny
 
 
 def _as_square(m, name="matrix"):
@@ -48,78 +50,60 @@ def _offdiagonal_norm(a):
     Computed by masking the diagonal rather than subtracting norms,
     which would lose all precision once the off-diagonal part is tiny.
     """
-    off = a * ~np.eye(a.shape[-1], dtype=bool)
+    off = (a * ~np.eye(a.shape[-1], dtype=bool)).view(float)
     return np.sqrt(np.einsum("nij,nij->n", off, off))
 
 
 def _jacobi_sweep(a):
-    """One cyclic sweep of Jacobi rotations, in place, over the batch."""
+    """One cyclic sweep of complex Jacobi rotations, in place, over the batch.
+
+    For each pair (p, q) a unit phase on index q makes a[p, q] real and a
+    real rotation zeroes it.  Rows p and q are computed and the columns
+    set from them, so a stays exactly Hermitian with a real diagonal.
+    """
     dim = a.shape[-1]
     for p in range(dim - 1):
         for q in range(p + 1, dim):
-            apq = a[:, p, q]
-            app = a[:, p, p]
-            aqq = a[:, q, q]
-            rotate = apq != 0.0
+            apq = a[:, p, q, None]
+            r = np.abs(apq)
+            app = a[:, p, p, None].real.copy()
+            aqq = a[:, q, q, None].real.copy()
             # Stable closed-form rotation angle: t is the smaller root
-            # of t^2 + 2*tau*t - 1 = 0, which zeroes the (p, q) entry.
-            # Overflow to inf for denormal apq is harmless (t -> 0).
-            with np.errstate(over="ignore", divide="ignore"):
-                tau = (aqq - app) / np.where(rotate, 2.0 * apq, 1.0)
+            # of t^2 + 2*tau*t - 1 = 0, which zeroes the (p, q) entry;
+            # tau overflowing for tiny r gives t = 0.  A subnormal pivot
+            # is zeroed unrotated, as its phase would overflow.
+            rotate = r >= _TINY
+            safe_r = np.where(rotate, r, 1.0)
+            with np.errstate(over="ignore"):
+                tau = (aqq - app) / (2.0 * safe_r)
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (
                     np.abs(tau) + np.hypot(1.0, tau)
                 )
             t = np.where(rotate, t, 0.0)
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            c = c[:, None]
-            s = s[:, None]
+            phase = np.where(rotate, apq / safe_r, 1.0)
             row_p = a[:, p, :].copy()
-            row_q = a[:, q, :].copy()
+            row_q = a[:, q, :] * phase
             a[:, p, :] = c * row_p - s * row_q
             a[:, q, :] = s * row_p + c * row_q
-            col_p = a[:, :, p].copy()
-            col_q = a[:, :, q].copy()
-            a[:, :, p] = c * col_p - s * col_q
-            a[:, :, q] = s * col_p + c * col_q
-
-
-def symmetric_eigenvalues(sym):
-    """Eigenvalues of a batch of real symmetric matrices, ascending.
-
-    Parameters
-    ----------
-    sym : ndarray, shape (..., d, d)
-        Real symmetric matrices.
-
-    Returns
-    -------
-    ndarray, shape (..., d)
-    """
-    sym = np.asarray(sym, dtype=float)
-    batch_shape = sym.shape[:-2]
-    dim = sym.shape[-1]
-    a = sym.reshape((-1, dim, dim)).copy()
-    for _ in range(_MAX_SWEEPS):
-        if float(np.max(_offdiagonal_norm(a))) < _OFFDIAG_TOL:
-            break
-        _jacobi_sweep(a)
-    else:
-        worst = float(np.max(_offdiagonal_norm(a)))
-        raise ValidationError(
-            f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
-            f"(residual off-diagonal norm {worst:.3e})"
-        )
-    values = np.sort(np.diagonal(a, axis1=-2, axis2=-1), axis=-1)
-    return values.reshape(batch_shape + (dim,))
+            a[:, p, p, None] = app - t * r
+            a[:, q, q, None] = aqq + t * r
+            a[:, p, q] = a[:, q, p] = 0.0
+            a[:, :, p] = a[:, p, :].conj()
+            a[:, :, q] = a[:, q, :].conj()
 
 
 def hermitian_eigenvalues(matrix, tol=DEFAULT_TOL):
-    """Eigenvalues of Hermitian matrices via the real symmetric embedding.
+    """Eigenvalues of Hermitian matrices by cyclic complex Jacobi.
 
-    A Hermitian H = A + iB maps to the real symmetric 2d x 2d block
-    matrix [[A, -B], [B, A]], whose spectrum is that of H with every
-    eigenvalue doubled; we deflate by taking every other sorted value.
+    Each matrix is rotated directly (Golub & Van Loan, Matrix
+    Computations, section 8.5), with a unit phase per rotation that
+    makes the pivot real.  Convergence is tested per matrix: a sweep
+    touches only the matrices whose off-diagonal norm is still at least
+    _OFFDIAG_TOL, so a matrix's eigenvalues do not depend on the rest of
+    its batch.  A matrix still unconverged after _MAX_SWEEPS sweeps
+    raises ValidationError.
 
     Parameters
     ----------
@@ -137,21 +121,36 @@ def hermitian_eigenvalues(matrix, tol=DEFAULT_TOL):
     defect = float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
     if defect > tol:
         raise ValidationError(f"matrix is not Hermitian (defect {defect:.3e})")
-    # Force exact hermiticity so the embedding is exactly symmetric; for
-    # already-Hermitian input this is a bitwise no-op.
-    m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-    re, im = m.real, m.imag
-    top = np.concatenate([re, -im], axis=-1)
-    bottom = np.concatenate([im, re], axis=-1)
-    doubled = symmetric_eigenvalues(np.concatenate([top, bottom], axis=-2))
-    return doubled[..., ::2]
+    batch_shape, dim = m.shape[:-2], m.shape[-1]
+    # Force exact hermiticity (a real diagonal); for already-Hermitian
+    # input this is a bitwise no-op.
+    a = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2))).reshape((-1, dim, dim))
+    pending = np.arange(a.shape[0])
+    work = a
+    for sweep in range(_MAX_SWEEPS + 1):
+        residual = _offdiagonal_norm(work)
+        active = ~(residual < _OFFDIAG_TOL)
+        if not np.all(active):
+            a[pending[~active]] = work[~active]
+            pending, work, residual = pending[active], work[active], residual[active]
+        if not pending.size:
+            break
+        if sweep == _MAX_SWEEPS:
+            raise ValidationError(
+                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
+                f"(residual off-diagonal norm {float(np.max(residual)):.3e})"
+            )
+        _jacobi_sweep(work)
+    values = np.sort(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1)
+    return values.reshape(batch_shape + (dim,))
 
 
 def spectrum_entropy(values):
     """Shannon entropy (base 2) of one or more probability spectra.
 
     Values in [-1e-12, 0) are clipped to zero before the 0*log(0) = 0
-    convention is applied; more negative entries raise PositivityError.
+    convention is applied; more negative or NaN entries raise
+    PositivityError.
 
     Parameters
     ----------
@@ -163,7 +162,7 @@ def spectrum_entropy(values):
     """
     w = np.asarray(values, dtype=float)
     low = float(np.min(w)) if w.size else 0.0
-    if low < -EIGENVALUE_CLIP_TOL:
+    if not low >= -EIGENVALUE_CLIP_TOL:
         raise PositivityError(
             f"spectrum entry {low:.6e} below -{EIGENVALUE_CLIP_TOL:.0e}"
         )

@@ -140,16 +140,19 @@ class SweepResult:
 
 
 def _flat_grid(spec):
-    """Flattened (q, nu) in canonical order with degenerate points removed."""
+    """Flattened (q, nu) in canonical order with degenerate points removed.
+
+    Also returns the (q_steps, nu_steps) mask of the points kept.
+    """
     qs, nus = spec.axes()
     q = np.repeat(qs, nus.size)
     nu = np.tile(nus, qs.size)
-    degenerate = (q == 1.0) & (nu == 0.0)
+    keep = ~((q == 1.0) & (nu == 0.0))
     notices = tuple(
         f"skipped undefined point q={format_value(qv)}, nu={format_value(nv)}"
-        for qv, nv in zip(q[degenerate], nu[degenerate])
+        for qv, nv in zip(q[~keep], nu[~keep])
     )
-    return q[~degenerate], nu[~degenerate], notices
+    return q[keep], nu[keep], keep.reshape(qs.size, nus.size), notices
 
 
 def sweep_arrays(spec):
@@ -159,7 +162,7 @@ def sweep_arrays(spec):
     closed-form route; `path_gap` is the largest absolute disagreement
     with the eigensolver route across the three measures per point.
     """
-    q, nu, notices = _flat_grid(spec)
+    q, nu, _, notices = _flat_grid(spec)
     alpha, beta, gamma = alpha_beta_gamma(q, nu)
     spectra = closed_form_spectra(alpha, beta, gamma)
     s_state = spectrum_entropy(spectra.state)
@@ -252,12 +255,9 @@ def verify_grid(spec=None, tol=1e-9):
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     data, _ = sweep_arrays(spec)
-    qs, nus = spec.axes()
-    grid = np.full((qs.size, nus.size), np.nan)
-    flat_q = np.repeat(qs, nus.size)
-    flat_nu = np.tile(nus, qs.size)
-    keep = ~((flat_q == 1.0) & (flat_nu == 0.0))
-    grid.ravel()[keep] = data["c_total"]
+    _, _, keep, _ = _flat_grid(spec)
+    grid = np.full(keep.shape, np.nan)
+    grid[keep] = data["c_total"]
     max_violation = float(np.max(-data["triangle_slack"]))
     max_gap = float(np.max(data["path_gap"]))
     return VerificationReport(
@@ -275,7 +275,7 @@ def max_spectra_gap(spec=None):
     """Largest closed-form vs eigensolver spectrum gap over a grid."""
     if spec is None:
         spec = SweepSpec()
-    q, nu, _ = _flat_grid(spec)
+    q, nu, _, _ = _flat_grid(spec)
     alpha, beta, gamma = alpha_beta_gamma(q, nu)
     closed = closed_form_spectra(alpha, beta, gamma)
     states = reference_states(detector_matrix(alpha, beta, gamma), (2, 2))

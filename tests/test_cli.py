@@ -87,6 +87,42 @@ def test_eval_out_of_range_is_usage_error(args, fragment):
     assert fragment in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("eval", "--q", "0.3", "--nu", "inf"), "--nu"),
+        (("spectra", "--q", "0.3", "--nu", "inf"), "--nu"),
+        (
+            (
+                "sweep", "--q-min", "0", "--q-max", "1", "--q-steps", "3",
+                "--nu-min", "0", "--nu-max", "inf", "--nu-steps", "3",
+            ),
+            "--nu-max",
+        ),
+        (
+            (
+                "convert", "--omega", "1", "--accel", "inf",
+                "--eps", "0.01", "--delta", "100", "--kappa", "0",
+            ),
+            "--accel",
+        ),
+    ],
+)
+def test_infinite_input_is_usage_error(args, flag):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"{flag} must be finite" in proc.stderr
+
+
+def test_eval_overflowing_coupling_is_runtime_error_not_nan():
+    # nu^2 overflows, so the weights are NaN; this must fail, not print NaN
+    proc = run_cli("eval", "--q", "0.3", "--nu", "1e200")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+
+
 def test_eval_accepts_strong_coupling_with_warning():
     # nu has no upper bound; past the perturbative window it only warns
     proc = run_cli("eval", "--q", "0.5", "--nu", "2.0")

@@ -92,6 +92,11 @@ def test_sqrt_clipped_policy():
         sqrt_clipped(-1e-9)
 
 
+def test_sqrt_clipped_rejects_nan():
+    with pytest.raises(NumericalConsistencyError):
+        sqrt_clipped([0.25, float("nan")])
+
+
 # ---------------------------------------------------------- product surrogate
 
 

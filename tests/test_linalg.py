@@ -8,6 +8,8 @@ from unruh_coherence import (
     DomainError,
     PositivityError,
     ValidationError,
+    alpha_beta_gamma,
+    detector_matrix,
     equal_mixture,
     hermitian_eigenvalues,
     maximally_mixed,
@@ -17,6 +19,7 @@ from unruh_coherence import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from unruh_coherence import linalg
 
 SEED = 20240811
 
@@ -72,6 +75,58 @@ def test_batched_eigenvalues_match_loop():
     for k in range(25):
         single = hermitian_eigenvalues(batch[k])
         assert np.max(np.abs(together[k] - single)) < 1e-12
+
+
+def _x_state(rng, dim):
+    """Hermitian matrix supported on the diagonal and anti-diagonal."""
+    m = np.diag(rng.uniform(0.0, 1.0, dim)).astype(complex)
+    for k in range(dim // 2):
+        m[k, dim - 1 - k] = complex(*rng.normal(size=2))
+        m[dim - 1 - k, k] = np.conj(m[k, dim - 1 - k])
+    return m
+
+
+def _mixed_batch(rng, dim):
+    """Dense Ginibre states, X-states and real symmetric matrices."""
+    dense = [oracles.random_density(rng, dim) for _ in range(6)]
+    x_states = [_x_state(rng, dim) for _ in range(6)]
+    real = [oracles.random_hermitian(rng, dim).real for _ in range(6)]
+    if dim == 4:
+        q = rng.uniform(0.0, 0.99, 6)
+        x_states += list(detector_matrix(*alpha_beta_gamma(q, rng.uniform(0.0, 1.0, 6))))
+    return np.stack(dense + x_states + real)
+
+
+def test_unconverged_result_refused(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(SEED + 13)
+    with pytest.raises(ValidationError, match="did not converge"):
+        hermitian_eigenvalues(oracles.random_hermitian(rng, 4))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_mixed_batch_matches_char_poly_oracle(dim):
+    rng = np.random.default_rng(SEED + 20 + dim)
+    batch = _mixed_batch(rng, dim)
+    got = hermitian_eigenvalues(batch)
+    for k, m in enumerate(batch):
+        assert np.max(np.abs(got[k] - oracles.char_poly_eigenvalues(m))) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_eigenvalues_independent_of_batch(dim):
+    rng = np.random.default_rng(SEED + 30 + dim)
+    batch = _mixed_batch(rng, dim)
+    singles = np.stack([hermitian_eigenvalues(m) for m in batch])
+    assert np.array_equal(hermitian_eigenvalues(batch), singles)
+    assert np.array_equal(hermitian_eigenvalues(batch[::-1]), singles[::-1])
+
+
+def test_subnormal_offdiagonal_entry():
+    tiny = 1e-310 + 1e-310j
+    m = np.array([[1.0, tiny, 0.5], [np.conj(tiny), 0.0, 0.0], [0.5, 0.0, 2.0]])
+    got = hermitian_eigenvalues(m)
+    assert np.max(np.abs(got - oracles.char_poly_eigenvalues(m))) < 1e-12
 
 
 def test_diagonal_input_is_exact():
@@ -167,6 +222,11 @@ def test_spectrum_entropy_rejects_genuine_negatives():
         spectrum_entropy([1.0, -1e-11])
     with pytest.raises(PositivityError):
         spectrum_entropy([1.1, -0.1])
+
+
+def test_spectrum_entropy_rejects_nan():
+    with pytest.raises(PositivityError):
+        spectrum_entropy([0.5, float("nan"), 0.5])
 
 
 def test_entropy_trace_check():
