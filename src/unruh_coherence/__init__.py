@@ -15,6 +15,7 @@ from .coherence import (
     coherence_total,
     coherence_triple,
     divergence_sqrt,
+    measures_from_spectra,
     product_surrogate,
 )
 from .errors import (
@@ -32,11 +33,9 @@ from .linalg import (
     partial_trace,
     spectrum_entropy,
     tensor_product,
-    validate_density_matrix,
     von_neumann_entropy,
 )
 from .model import (
-    ClosedFormSpectra,
     ModelParams,
     ModelPoint,
     PhysicalParams,
@@ -59,6 +58,7 @@ from .sweep import (
     max_spectra_gap,
     run_sweep,
     verify_grid,
+    verify_sweep,
     write_csv,
 )
 

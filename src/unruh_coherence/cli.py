@@ -18,7 +18,7 @@ import argparse
 import math
 import sys
 
-from .errors import CoherenceError
+from .errors import CoherenceError, require_positive
 from .model import (
     ModelParams,
     PhysicalParams,
@@ -121,39 +121,42 @@ def _apply_config(parser, ns):
                 )
 
 
-def _check(parser, condition, message):
-    if not condition:
-        parser.error(message)
+# Each command's inputs, built at parse time.  The constructors are the
+# only range checks; a CoherenceError they raise is a usage error.
+_INPUTS = {
+    "eval": lambda ns: ModelParams(q=ns.q, nu=ns.nu),
+    "spectra": lambda ns: ModelParams(q=ns.q, nu=ns.nu),
+    "sweep": lambda ns: SweepSpec(
+        q_min=ns.q_min,
+        q_max=ns.q_max,
+        q_steps=ns.q_steps,
+        nu_min=ns.nu_min,
+        nu_max=ns.nu_max,
+        nu_steps=ns.nu_steps,
+    ),
+    "verify": lambda ns: (
+        SweepSpec(q_steps=ns.grid, nu_steps=ns.grid),
+        require_positive("tol", ns.tol),
+    ),
+    "convert": lambda ns: PhysicalParams(
+        omega=ns.omega, accel=ns.accel, eps=ns.eps, delta=ns.delta, kappa=ns.kappa
+    ),
+}
 
 
 def _validate(parser, ns):
+    """Check flag presence and finiteness, then build `ns.inputs`."""
     for flag in _REQUIRED_FLAGS[ns.command]:
-        _check(parser, getattr(ns, _dest(flag)) is not None,
-               f"missing required flag --{flag}")
+        if getattr(ns, _dest(flag)) is None:
+            parser.error(f"missing required flag --{flag}")
     for flag, kind in _COMMAND_FLAGS[ns.command].items():
-        if kind is float:
-            value = getattr(ns, _dest(flag))
-            _check(parser, math.isfinite(value), f"--{flag} must be finite, got {value}")
-    c = ns.command
-    if c in ("eval", "spectra"):
-        _check(parser, 0.0 <= ns.q <= 1.0, f"--q must lie in [0, 1], got {ns.q}")
-        _check(parser, ns.nu >= 0.0, f"--nu must be non-negative, got {ns.nu}")
-    elif c == "sweep":
-        _check(parser, 0.0 <= ns.q_min <= ns.q_max <= 1.0,
-               "need 0 <= --q-min <= --q-max <= 1")
-        _check(parser, 0.0 <= ns.nu_min <= ns.nu_max,
-               "need 0 <= --nu-min <= --nu-max")
-        _check(parser, ns.q_steps >= 1, f"--q-steps must be >= 1, got {ns.q_steps}")
-        _check(parser, ns.nu_steps >= 1, f"--nu-steps must be >= 1, got {ns.nu_steps}")
-    elif c == "verify":
-        _check(parser, ns.grid >= 1, f"--grid must be >= 1, got {ns.grid}")
-        _check(parser, ns.tol > 0.0, f"--tol must be positive, got {ns.tol}")
-    elif c == "convert":
-        _check(parser, ns.omega > 0.0, f"--omega must be positive, got {ns.omega}")
-        _check(parser, ns.accel >= 0.0, f"--accel must be non-negative, got {ns.accel}")
-        _check(parser, ns.eps >= 0.0, f"--eps must be non-negative, got {ns.eps}")
-        _check(parser, ns.delta > 0.0, f"--delta must be positive, got {ns.delta}")
-        _check(parser, ns.kappa >= 0.0, f"--kappa must be non-negative, got {ns.kappa}")
+        value = getattr(ns, _dest(flag))
+        if kind is float and not math.isfinite(value):
+            parser.error(f"--{flag} must be finite, got {value}")
+    try:
+        ns.inputs = _INPUTS[ns.command](ns)
+    except CoherenceError as exc:
+        parser.error(str(exc))
 
 
 def parse_args(argv=None):
@@ -174,11 +177,11 @@ def _emit(name, value):
 
 
 def cmd_eval(ns):
-    params = ModelParams(q=ns.q, nu=ns.nu)
+    params = ns.inputs
     for message in params.validity_warnings():
         _warn(message)
     point = detector_state(params)
-    triple = coherence_closed_form(ns.q, ns.nu)
+    triple = coherence_closed_form(params.q, params.nu)
     _emit("alpha", point.alpha)
     _emit("beta", point.beta)
     _emit("gamma", point.gamma)
@@ -190,15 +193,7 @@ def cmd_eval(ns):
 
 
 def cmd_sweep(ns):
-    spec = SweepSpec(
-        q_min=ns.q_min,
-        q_max=ns.q_max,
-        q_steps=ns.q_steps,
-        nu_min=ns.nu_min,
-        nu_max=ns.nu_max,
-        nu_steps=ns.nu_steps,
-    )
-    result = run_sweep(spec)
+    result = run_sweep(ns.inputs)
     for notice in result.notices:
         print(f"notice: {notice}", file=sys.stderr)
     if ns.out is not None:
@@ -210,8 +205,8 @@ def cmd_sweep(ns):
 
 
 def cmd_verify(ns):
-    spec = SweepSpec(q_steps=ns.grid, nu_steps=ns.grid)
-    report = verify_grid(spec, tol=ns.tol)
+    spec, tol = ns.inputs
+    report = verify_grid(spec, tol=tol)
     _emit("points_checked", report.points_checked)
     _emit("max_triangle_violation", report.max_triangle_violation)
     _emit("max_path_gap", report.max_path_gap)
@@ -223,7 +218,7 @@ def cmd_verify(ns):
 
 
 def cmd_spectra(ns):
-    params = ModelParams(q=ns.q, nu=ns.nu)
+    params = ns.inputs
     for message in params.validity_warnings():
         _warn(message)
     closed, numeric, _ = spectra_comparison(params)
@@ -241,12 +236,10 @@ def cmd_spectra(ns):
 
 
 def cmd_convert(ns):
-    phys = PhysicalParams(
-        omega=ns.omega, accel=ns.accel, eps=ns.eps, delta=ns.delta, kappa=ns.kappa
-    )
+    phys = ns.inputs
     for message in phys.validity_warnings():
         _warn(message)
-    _emit("q", q_from_acceleration(ns.omega, ns.accel))
+    _emit("q", q_from_acceleration(phys.omega, phys.accel))
     _emit("nu_squared", nu_squared_from_physical(phys))
     return 0
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalConsistencyError
 from .linalg import (
+    check_unit_trace,
     equal_mixture,
     hermitian_eigenvalues,
     maximally_mixed,
@@ -109,37 +110,47 @@ def reference_states(rho, dims):
     }
 
 
-def coherence_components(rho, dims, return_spectra=False):
-    """All three measures from one shared set of eigensolves.
+def measures_from_spectra(spectra, dim):
+    """(total, collective, localized) from the five family spectra.
 
-    Cheaper than calling the three measures separately (five eigensolves
-    instead of nine) and guarantees they are evaluated on identical
-    spectra.  With `return_spectra=True` also returns the dict of
-    ascending eigenvalue arrays keyed like `reference_states`.
-
-    Returns
-    -------
-    (total, collective, localized) arrays, plus the spectra dict if
-    requested.
+    `spectra` maps each family name of `reference_states` to its
+    eigenvalues, for states of dimension `dim`.  This is the one place
+    the three square-root divergences are assembled, so the closed-form
+    and eigensolver routes differ only by their spectra.  The entropy of
+    I/d enters as `- 0.5*log2(dim)` after `- 0.5*S`, the order that keeps
+    the sweep CSV bytes fixed (`0.5*log2(4)` is exactly 1).
     """
-    states = reference_states(rho, dims)
-    spectra = {name: hermitian_eigenvalues(m) for name, m in states.items()}
-    dim = states["state"].shape[-1]
     s_state = spectrum_entropy(spectra["state"])
     s_product = spectrum_entropy(spectra["product"])
-    s_mixed = np.log2(float(dim))
+    half_s_mixed = 0.5 * np.log2(float(dim))
     total = sqrt_clipped(
-        spectrum_entropy(spectra["mid_state_mixed"]) - 0.5 * (s_state + s_mixed)
+        spectrum_entropy(spectra["mid_state_mixed"]) - 0.5 * s_state - half_s_mixed
     )
     collective = sqrt_clipped(
         spectrum_entropy(spectra["mid_state_product"]) - 0.5 * (s_state + s_product)
     )
     localized = sqrt_clipped(
-        spectrum_entropy(spectra["mid_product_mixed"]) - 0.5 * (s_product + s_mixed)
+        spectrum_entropy(spectra["mid_product_mixed"]) - 0.5 * s_product - half_s_mixed
     )
-    if return_spectra:
-        return total, collective, localized, spectra
     return total, collective, localized
+
+
+def coherence_components(rho, dims):
+    """All three measures from one shared set of eigensolves.
+
+    Cheaper than calling the three measures separately (five eigensolves
+    instead of nine) and guarantees they are evaluated on identical
+    spectra.  The state's unit trace is checked on its own spectrum,
+    with the tolerance of `von_neumann_entropy`.
+
+    Returns
+    -------
+    (total, collective, localized) arrays.
+    """
+    states = reference_states(rho, dims)
+    spectra = {name: hermitian_eigenvalues(m) for name, m in states.items()}
+    check_unit_trace(spectra["state"])
+    return measures_from_spectra(spectra, states["state"].shape[-1])
 
 
 @dataclass(frozen=True, eq=False)

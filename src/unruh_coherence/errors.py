@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positivity check."""
 
 
 class CoherenceError(ValueError):
@@ -23,3 +23,10 @@ class NumericalConsistencyError(CoherenceError):
 
 class DomainError(CoherenceError):
     """A scalar argument lies outside its admissible domain."""
+
+
+def require_positive(name, value):
+    """Return `value` if it is > 0; otherwise raise DomainError."""
+    if not value > 0.0:
+        raise DomainError(f"{name} must be positive, got {value!r}")
+    return value

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import CoherenceTriple, reference_states, sqrt_clipped
-from .errors import DomainError
-from .linalg import hermitian_eigenvalues, spectrum_entropy
+from .coherence import CoherenceTriple, measures_from_spectra, reference_states
+from .errors import DomainError, require_positive
+from .linalg import hermitian_eigenvalues
 
 # Perturbative treatment is only trustworthy for weak coupling; warn
 # beyond this.
@@ -99,14 +99,12 @@ class PhysicalParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise DomainError(f"omega must be positive, got {self.omega!r}")
+        require_positive("omega", self.omega)
         if self.accel < 0.0 or math.isnan(self.accel):
             raise DomainError(f"accel must be non-negative, got {self.accel!r}")
         if self.eps < 0.0 or math.isnan(self.eps):
             raise DomainError(f"eps must be non-negative, got {self.eps!r}")
-        if not self.delta > 0.0:
-            raise DomainError(f"delta must be positive, got {self.delta!r}")
+        require_positive("delta", self.delta)
         if self.kappa < 0.0 or math.isnan(self.kappa):
             raise DomainError(f"kappa must be non-negative, got {self.kappa!r}")
 
@@ -125,8 +123,7 @@ class PhysicalParams:
 
 def q_from_acceleration(omega, accel):
     """Thermal weight exp(-2*pi*omega/accel); zero acceleration gives 0."""
-    if not omega > 0.0:
-        raise DomainError(f"omega must be positive, got {omega!r}")
+    require_positive("omega", omega)
     if accel < 0.0 or math.isnan(accel):
         raise DomainError(f"accel must be non-negative, got {accel!r}")
     if accel == 0.0:
@@ -213,26 +210,6 @@ def detector_state(params):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ClosedFormSpectra:
-    """Closed-form ascending spectra of the five reference states."""
-
-    state: np.ndarray
-    product: np.ndarray
-    mid_state_mixed: np.ndarray
-    mid_state_product: np.ndarray
-    mid_product_mixed: np.ndarray
-
-    def items(self):
-        return (
-            ("state", self.state),
-            ("product", self.product),
-            ("mid_state_mixed", self.mid_state_mixed),
-            ("mid_state_product", self.mid_state_product),
-            ("mid_product_mixed", self.mid_product_mixed),
-        )
-
-
 def closed_form_spectra(alpha, beta, gamma):
     """Exact eigenvalues of the five reference states; batch aware.
 
@@ -244,8 +221,11 @@ def closed_form_spectra(alpha, beta, gamma):
         mid_state_product  {(beta+u^2)/2, u*v/2, (2*alpha+u*v)/2, (gamma+v^2)/2}
         mid_product_mixed  {(1+4*u^2)/8, (1+4*u*v)/8, (1+4*u*v)/8, (1+4*v^2)/8}
 
-    Entries are sorted ascending.  Raises DomainError if the weights are
-    not a normalized non-negative triple (2*alpha + beta + gamma = 1).
+    Returns a dict keyed and ordered like `reference_states`, each
+    value sorted ascending along its last axis, so the closed-form and
+    eigensolver spectra feed the same `measures_from_spectra`.  Raises
+    DomainError if the weights are not a normalized non-negative triple
+    (2*alpha + beta + gamma = 1).
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -264,52 +244,40 @@ def closed_form_spectra(alpha, beta, gamma):
     def pack(*entries):
         return np.sort(np.stack(np.broadcast_arrays(*entries), axis=-1), axis=-1)
 
-    return ClosedFormSpectra(
-        state=pack(zeros, 2.0 * alpha, beta, gamma),
-        product=pack(u * u, uv, uv, v * v),
-        mid_state_mixed=pack(
+    return {
+        "state": pack(zeros, 2.0 * alpha, beta, gamma),
+        "product": pack(u * u, uv, uv, v * v),
+        "mid_state_mixed": pack(
             0.125 * np.ones_like(alpha),
             0.125 * (1.0 + 8.0 * alpha),
             0.125 * (1.0 + 4.0 * beta),
             0.125 * (1.0 + 4.0 * gamma),
         ),
-        mid_state_product=pack(
+        "mid_state_product": pack(
             0.5 * (beta + u * u),
             0.5 * uv,
             0.5 * (2.0 * alpha + uv),
             0.5 * (gamma + v * v),
         ),
-        mid_product_mixed=pack(
+        "mid_product_mixed": pack(
             0.125 * (1.0 + 4.0 * u * u),
             0.125 * (1.0 + 4.0 * uv),
             0.125 * (1.0 + 4.0 * uv),
             0.125 * (1.0 + 4.0 * v * v),
         ),
-    )
+    }
 
 
 def coherence_closed_form(q, nu):
     """All three measures from the closed-form spectra; batch aware."""
-    alpha, beta, gamma = alpha_beta_gamma(q, nu)
-    spectra = closed_form_spectra(alpha, beta, gamma)
-    s_state = spectrum_entropy(spectra.state)
-    s_product = spectrum_entropy(spectra.product)
-    total = sqrt_clipped(
-        spectrum_entropy(spectra.mid_state_mixed) - 0.5 * s_state - 1.0
-    )
-    collective = sqrt_clipped(
-        spectrum_entropy(spectra.mid_state_product) - 0.5 * (s_state + s_product)
-    )
-    localized = sqrt_clipped(
-        spectrum_entropy(spectra.mid_product_mixed) - 0.5 * s_product - 1.0
-    )
-    return CoherenceTriple.from_components(total, collective, localized)
+    spectra = closed_form_spectra(*alpha_beta_gamma(q, nu))
+    return CoherenceTriple.from_components(*measures_from_spectra(spectra, 4))
 
 
 def spectra_comparison(params):
     """Closed-form vs eigensolver spectra at one model point.
 
-    Returns (closed ClosedFormSpectra, numeric dict, per-family gap dict).
+    Returns (closed spectra dict, numeric spectra dict, per-family gap dict).
     """
     point = detector_state(params)
     closed = closed_form_spectra(point.alpha, point.beta, point.gamma)

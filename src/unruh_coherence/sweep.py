@@ -2,21 +2,23 @@
 
 A sweep walks a rectangular (q, nu) grid, evaluates the three coherence
 measures along both the closed-form route and the generic eigensolver
-route, and records their disagreement per point.  Grid order is fixed:
-q is the outer loop, nu the inner one, both ascending, so output files
-are byte-identical across runs.
+route, and records their disagreement per point.  Each point is a
+SweepRecord, a namedtuple whose fields are the CSV columns, so a record
+is its CSV row.  Grid order is fixed: q is the outer loop, nu the inner
+one, both ascending, so output files are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import coherence_components, reference_states, sqrt_clipped
-from .errors import DomainError, ValidationError
-from .linalg import hermitian_eigenvalues, spectrum_entropy
+from .coherence import coherence_components, measures_from_spectra, reference_states
+from .errors import DomainError, ValidationError, require_positive
+from .linalg import hermitian_eigenvalues
 from .model import (
     alpha_beta_gamma,
     closed_form_spectra,
@@ -98,39 +100,10 @@ class SweepSpec:
         )
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point: weights, measures (closed form) and the path gap.
-
-    `closed_vs_numeric_gap` is the largest absolute disagreement between
-    the closed-form and eigensolver routes across the three measures; it
-    is emitted as the `path_gap` CSV column.
-    """
-
-    q: float
-    nu: float
-    alpha: float
-    beta: float
-    gamma: float
-    c_total: float
-    c_collective: float
-    c_localized: float
-    triangle_slack: float
-    closed_vs_numeric_gap: float
-
-    def csv_values(self):
-        return (
-            self.nu,
-            self.q,
-            self.alpha,
-            self.beta,
-            self.gamma,
-            self.c_total,
-            self.c_collective,
-            self.c_localized,
-            self.triangle_slack,
-            self.closed_vs_numeric_gap,
-        )
+# One grid point, field for field the CSV row: weights, closed-form
+# measures, and `path_gap`, the largest absolute disagreement with the
+# eigensolver route across the three measures.
+SweepRecord = namedtuple("SweepRecord", CSV_FIELDS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,67 +131,35 @@ def _flat_grid(spec):
 def sweep_arrays(spec):
     """Vectorised sweep; returns a dict of flat arrays plus notices.
 
-    Keys match CSV_FIELDS.  The coherence columns come from the
-    closed-form route; `path_gap` is the largest absolute disagreement
+    Keys are CSV_FIELDS, in order.  The coherence columns come from the
+    closed-form spectra; `path_gap` is the largest absolute disagreement
     with the eigensolver route across the three measures per point.
+    Both routes go through `measures_from_spectra`, so the gap measures
+    only how far their spectra differ.
     """
     q, nu, _, notices = _flat_grid(spec)
     alpha, beta, gamma = alpha_beta_gamma(q, nu)
-    spectra = closed_form_spectra(alpha, beta, gamma)
-    s_state = spectrum_entropy(spectra.state)
-    s_product = spectrum_entropy(spectra.product)
-    c_total = sqrt_clipped(
-        spectrum_entropy(spectra.mid_state_mixed) - 0.5 * s_state - 1.0
-    )
-    c_collective = sqrt_clipped(
-        spectrum_entropy(spectra.mid_state_product) - 0.5 * (s_state + s_product)
-    )
-    c_localized = sqrt_clipped(
-        spectrum_entropy(spectra.mid_product_mixed) - 0.5 * s_product - 1.0
-    )
-    num_total, num_collective, num_localized = coherence_components(
-        detector_matrix(alpha, beta, gamma), (2, 2)
-    )
-    path_gap = np.maximum(
-        np.abs(c_total - num_total),
-        np.maximum(
-            np.abs(c_collective - num_collective),
-            np.abs(c_localized - num_localized),
-        ),
-    )
-    return {
-        "nu": nu,
-        "q": q,
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": gamma,
-        "c_total": c_total,
-        "c_collective": c_collective,
-        "c_localized": c_localized,
-        "triangle_slack": c_collective + c_localized - c_total,
-        "path_gap": path_gap,
-    }, notices
+    measures = measures_from_spectra(closed_form_spectra(alpha, beta, gamma), 4)
+    total, collective, localized = measures
+    numeric = coherence_components(detector_matrix(alpha, beta, gamma), (2, 2))
+    path_gap = np.max(np.abs(np.subtract(measures, numeric)), axis=0)
+    slack = collective + localized - total
+    columns = (nu, q, alpha, beta, gamma, *measures, slack, path_gap)
+    return dict(zip(CSV_FIELDS, columns)), notices
 
 
 def run_sweep(spec):
-    """Sweep the grid and return per-point records in canonical order."""
+    """Sweep the grid and return one SweepRecord per point, in canonical order."""
     data, notices = sweep_arrays(spec)
-    columns = {name: np.asarray(data[name], dtype=float) for name in CSV_FIELDS}
-    field_for = dict(zip(CSV_FIELDS[:-1], CSV_FIELDS[:-1]), path_gap="closed_vs_numeric_gap")
-    records = tuple(
-        SweepRecord(
-            **{field_for[name]: float(columns[name][i]) for name in CSV_FIELDS}
-        )
-        for i in range(columns["q"].size)
-    )
-    return SweepResult(records=records, notices=notices)
+    rows = zip(*(data[name].tolist() for name in CSV_FIELDS))
+    return SweepResult(records=tuple(map(SweepRecord._make, rows)), notices=notices)
 
 
 def write_csv(records, stream):
     """Write records with the canonical header, '\\n' endings, 12 digits."""
     stream.write(CSV_HEADER + "\n")
     for r in records:
-        stream.write(",".join(format_value(v) for v in r.csv_values()) + "\n")
+        stream.write(",".join(map(format_value, r)) + "\n")
 
 
 def _monotone_fraction(values, axis):
@@ -252,19 +193,26 @@ def verify_grid(spec=None, tol=1e-9):
     """
     if spec is None:
         spec = SweepSpec()
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    data, _ = sweep_arrays(spec)
+    return verify_sweep(spec, sweep_arrays(spec)[0], tol)
+
+
+def verify_sweep(spec, columns, tol=1e-9):
+    """The `verify_grid` report from the columns of one sweep of `spec`.
+
+    `columns` maps c_total, triangle_slack and path_gap to flat arrays in
+    grid order, as `sweep_arrays` returns them.
+    """
+    require_positive("tol", tol)
     _, _, keep, _ = _flat_grid(spec)
     grid = np.full(keep.shape, np.nan)
-    grid[keep] = data["c_total"]
-    max_violation = float(np.max(-data["triangle_slack"]))
-    max_gap = float(np.max(data["path_gap"]))
+    grid[keep] = columns["c_total"]
+    max_violation = float(np.max(-columns["triangle_slack"]))
+    max_gap = float(np.max(columns["path_gap"]))
     return VerificationReport(
-        points_checked=int(data["q"].size),
+        points_checked=int(np.count_nonzero(keep)),
         max_triangle_violation=max_violation,
         max_path_gap=max_gap,
-        min_c_total=float(np.min(data["c_total"])),
+        min_c_total=float(np.min(columns["c_total"])),
         monotonic_fraction_in_nu=_monotone_fraction(grid, axis=1),
         monotonic_fraction_in_q=_monotone_fraction(grid, axis=0),
         passed=bool(max_violation <= tol and max_gap <= tol),
@@ -296,8 +244,7 @@ def find_min_c_total(nu, q_lo=0.0, q_hi=1.0, xtol=1e-6):
         raise DomainError(f"nu must be positive, got {nu!r}")
     if not (0.0 <= q_lo < q_hi <= 1.0):
         raise DomainError(f"need 0 <= q_lo < q_hi <= 1, got [{q_lo!r}, {q_hi!r}]")
-    if not xtol > 0.0:
-        raise DomainError(f"xtol must be positive, got {xtol!r}")
+    require_positive("xtol", xtol)
 
     def f(q):
         return float(coherence_closed_form(q, nu).c_total)

@@ -76,14 +76,38 @@ def test_eval_non_numeric_value_is_usage_error():
 @pytest.mark.parametrize(
     "args, fragment",
     [
-        (("--q", "1.5", "--nu", "0.5"), "must lie in"),
-        (("--q", "-0.1", "--nu", "0.5"), "must lie in"),
-        (("--q", "0.5", "--nu", "-1"), "must be non-negative"),
+        (("eval", "--q", "1.5", "--nu", "0.5"), "must lie in"),
+        (("eval", "--q", "-0.1", "--nu", "0.5"), "must lie in"),
+        (("eval", "--q", "0.5", "--nu", "-1"), "must be non-negative"),
+        (
+            (
+                "sweep", "--q-min", "0.6", "--q-max", "0.4", "--q-steps", "3",
+                "--nu-min", "0", "--nu-max", "1", "--nu-steps", "3",
+            ),
+            "exceeds",
+        ),
+        (
+            (
+                "convert", "--omega", "1", "--accel", "1",
+                "--eps", "0.01", "--delta", "0", "--kappa", "0",
+            ),
+            "must be positive",
+        ),
+        (
+            (
+                "convert", "--omega", "1", "--accel", "1",
+                "--eps", "-1", "--delta", "100", "--kappa", "0",
+            ),
+            "must be non-negative",
+        ),
+        (("verify", "--grid", "11", "--tol", "0"), "must be positive"),
     ],
 )
 def test_eval_out_of_range_is_usage_error(args, fragment):
-    proc = run_cli("eval", *args)
+    # `args` starts with the subcommand, so this covers every constructor
+    proc = run_cli(*args)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert fragment in proc.stderr
 
 

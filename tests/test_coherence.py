@@ -9,6 +9,7 @@ from unruh_coherence import (
     CoherenceTriple,
     DimensionError,
     NumericalConsistencyError,
+    ValidationError,
     coherence_collective,
     coherence_components,
     coherence_localized,
@@ -207,6 +208,12 @@ def test_components_match_individual_measures():
         assert float(localized) == pytest.approx(
             float(coherence_localized(rho, (2, 2))), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("trace", [2.0, 0.5])
+def test_components_reject_non_unit_trace(trace):
+    with pytest.raises(ValidationError, match="trace differs from 1"):
+        coherence_components(np.eye(4) * (trace / 4.0), (2, 2))
 
 
 def test_components_batch_matches_scalar():

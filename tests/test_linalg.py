@@ -16,7 +16,6 @@ from unruh_coherence import (
     partial_trace,
     spectrum_entropy,
     tensor_product,
-    validate_density_matrix,
     von_neumann_entropy,
 )
 from unruh_coherence import linalg
@@ -334,24 +333,6 @@ def test_maximally_mixed(dim):
 def test_maximally_mixed_rejects_bad_dimension():
     with pytest.raises(DomainError):
         maximally_mixed(0)
-
-
-# ----------------------------------------------------------------- validation
-
-
-def test_validate_density_matrix_accepts_valid():
-    rng = np.random.default_rng(SEED + 12)
-    rho = oracles.random_density(rng, 4)
-    validate_density_matrix(rho)
-
-
-def test_validate_density_matrix_rejections():
-    with pytest.raises(ValidationError):
-        validate_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
-    with pytest.raises(ValidationError):
-        validate_density_matrix(np.eye(2))  # trace 2
-    with pytest.raises(PositivityError):
-        validate_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
 @given(st.integers(0, 2**32 - 1))

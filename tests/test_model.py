@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from unruh_coherence import (
-    ClosedFormSpectra,
     DomainError,
     ModelParams,
     PhysicalParams,
@@ -22,6 +21,7 @@ from unruh_coherence import (
     q_from_acceleration,
     spectra_comparison,
 )
+from unruh_coherence.coherence import reference_states
 
 SEED = 20240813
 
@@ -198,22 +198,22 @@ def test_model_params_from_physical_roundtrip():
 
 def test_closed_spectra_singlet_point():
     spectra = closed_form_spectra(0.5, 0.0, 0.0)
-    assert isinstance(spectra, ClosedFormSpectra)
-    assert spectra.state == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-15)
-    assert spectra.mid_state_mixed == pytest.approx(
+    assert list(spectra) == list(reference_states(np.eye(4) / 4.0, (2, 2)))
+    assert spectra["state"] == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-15)
+    assert spectra["mid_state_mixed"] == pytest.approx(
         [0.125, 0.125, 0.125, 0.625], abs=1e-15
     )
 
 
 def test_closed_spectra_uniform_product_point():
     spectra = closed_form_spectra(0.0, 0.5, 0.5)
-    assert spectra.product == pytest.approx([0.25] * 4, abs=1e-15)
-    assert spectra.mid_product_mixed == pytest.approx([0.25] * 4, abs=1e-15)
+    assert spectra["product"] == pytest.approx([0.25] * 4, abs=1e-15)
+    assert spectra["mid_product_mixed"] == pytest.approx([0.25] * 4, abs=1e-15)
 
 
 def test_closed_spectra_q0_nu1_product():
     spectra = closed_form_spectra(1.0 / 3.0, 0.0, 1.0 / 3.0)
-    assert spectra.product == pytest.approx(
+    assert spectra["product"] == pytest.approx(
         np.array([1.0, 2.0, 2.0, 4.0]) / 9.0, abs=1e-15
     )
 

@@ -1,4 +1,7 @@
+import hashlib
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,10 @@ from unruh_coherence.sweep import CSV_HEADER, format_value
 SINGLET_COHERENCE = 0.7408069523805771
 
 SMALL = SweepSpec(q_steps=11, nu_steps=11)
+
+# SHA-256 of sweep CSVs without their path_gap column, recorded from the
+# seed code; the benchmark checks its output against the same file.
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 # ----------------------------------------------------------------- SweepSpec
@@ -89,7 +96,7 @@ def test_sweep_record_invariants():
     for record in result.records:
         assert abs(2 * record.alpha + record.beta + record.gamma - 1.0) <= 1e-12
         assert record.triangle_slack >= -1e-9
-        assert record.closed_vs_numeric_gap <= 1e-9
+        assert record.path_gap <= 1e-9
 
 
 def test_sweep_matches_pointwise_evaluation():
@@ -135,6 +142,18 @@ def test_csv_deterministic_in_process():
     assert first.getvalue() == second.getvalue()
 
 
+@pytest.mark.parametrize("steps", [101, 6])
+def test_csv_without_path_gap_matches_reference_digest(steps):
+    buf = io.StringIO()
+    write_csv(run_sweep(SweepSpec(q_steps=steps, nu_steps=steps)).records, buf)
+    stripped = "".join(
+        line.rpartition(",")[0] + "\n" for line in buf.getvalue().splitlines()
+    )
+    digests = json.loads(REFERENCE.read_text(encoding="utf-8"))["grid_csv_sha256"]
+    digest = hashlib.sha256(stripped.encode("utf-8")).hexdigest()
+    assert digest == digests[f"{steps}x{steps}"]
+
+
 def test_format_value_normalizes():
     assert format_value(-0.0) == "0"
     assert format_value(0.125) == "0.125"
@@ -153,6 +172,17 @@ def test_verify_small_grid_passes():
     assert report.min_c_total > 0.0
     assert 0.0 <= report.monotonic_fraction_in_nu <= 1.0
     assert 0.0 <= report.monotonic_fraction_in_q <= 1.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SweepSpec(), SweepSpec(q_min=0.99, nu_max=1e-3)],
+    ids=["default", "corner"],
+)
+def test_path_gap_is_only_the_spectra_gap(spec):
+    # both routes assemble the measures with the same arithmetic, so the
+    # gap is eigensolver round-off in the spectra, not in the formula
+    assert verify_grid(spec).max_path_gap <= 1e-13
 
 
 def test_verify_zero_coupling_row_is_monotone():
