@@ -135,7 +135,7 @@ _INPUTS = {
         nu_steps=ns.nu_steps,
     ),
     "verify": lambda ns: (
-        SweepSpec(q_steps=ns.grid, nu_steps=ns.grid),
+        SweepSpec(q_steps=require_positive("--grid", ns.grid), nu_steps=ns.grid),
         require_positive("tol", ns.tol),
     ),
     "convert": lambda ns: PhysicalParams(

@@ -33,9 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import CoherenceTriple, measures_from_spectra, reference_states
+from .coherence import CoherenceTriple, measures_from_spectra, numeric_spectra
 from .errors import DomainError, require_positive
-from .linalg import hermitian_eigenvalues
+
+# Unused here since spectra come from `numeric_spectra`; kept bound because
+# perfbench's tracer test checks this module's binding of it.
+from .linalg import hermitian_eigenvalues  # noqa: F401
 
 # Perturbative treatment is only trustworthy for weak coupling; warn
 # beyond this.
@@ -161,11 +164,20 @@ def alpha_beta_gamma(q, nu):
         raise DomainError("q must lie in [0, 1]")
     if not np.all(np.isfinite(nu)) or np.any(nu < 0.0):
         raise DomainError("nu must be non-negative")
-    nu2 = nu * nu
-    den = 2.0 * (1.0 - q) + nu2 * (1.0 + q)
-    if np.any(den == 0.0):
+    if np.any((q == 1.0) & (nu == 0.0)):
         raise DomainError("state is undefined at q=1, nu=0")
-    return (1.0 - q) / den, nu2 * q / den, nu2 / den
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        nu2 = nu * nu
+        den = 2.0 * (1.0 - q) + nu2 * (1.0 + q)
+        weights = ((1.0 - q) / den, nu2 * q / den, nu2 / den)
+    # Where den overflows, or nu*nu underflows at q=1, the quotients are
+    # 0 or NaN.  There the weights are their limits, found by dividing
+    # through by nu^2: (0, q/(1+q), 1/(1+q)) as nu^2 -> inf.  At q=1
+    # that is (0, 1/2, 1/2) for every nu > 0, which the quotients give
+    # exactly wherever nu*nu neither under- nor overflows.
+    limit = np.isinf(den) | (q == 1.0)
+    limits = (0.0, q / (1.0 + q), 1.0 / (1.0 + q))
+    return tuple(np.where(limit, lim, w)[()] for lim, w in zip(limits, weights))
 
 
 def detector_matrix(alpha, beta, gamma):
@@ -281,10 +293,7 @@ def spectra_comparison(params):
     """
     point = detector_state(params)
     closed = closed_form_spectra(point.alpha, point.beta, point.gamma)
-    numeric = {
-        name: hermitian_eigenvalues(m)
-        for name, m in reference_states(point.state, (2, 2)).items()
-    }
+    numeric = numeric_spectra(point.state, (2, 2))
     gaps = {
         name: float(np.max(np.abs(numeric[name] - values)))
         for name, values in closed.items()

@@ -16,9 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import coherence_components, measures_from_spectra, reference_states
+from .coherence import coherence_components, measures_from_spectra, numeric_spectra
 from .errors import DomainError, ValidationError, require_positive
-from .linalg import hermitian_eigenvalues
+
+# Unused here since spectra come from `numeric_spectra`; kept bound because
+# perfbench's tracer test checks this module's binding of it.
+from .linalg import hermitian_eigenvalues  # noqa: F401
 from .model import (
     alpha_beta_gamma,
     closed_form_spectra,
@@ -85,7 +88,11 @@ class SweepSpec:
         if self.nu_min < 0.0:
             raise ValidationError("nu range must be non-negative")
         for name, steps in (("q_steps", self.q_steps), ("nu_steps", self.nu_steps)):
-            if int(steps) != steps or steps < 1:
+            if (
+                isinstance(steps, bool)
+                or not isinstance(steps, (int, np.integer))
+                or steps < 1
+            ):
                 raise ValidationError(f"{name} must be a positive integer")
 
     def axes(self):
@@ -112,20 +119,25 @@ class SweepResult:
     notices: tuple
 
 
+def _defined(qs, nus):
+    """(qs.size, nus.size) mask of the grid points kept: all but q=1, nu=0."""
+    return ~((qs[:, None] == 1.0) & (nus == 0.0))
+
+
 def _flat_grid(spec):
     """Flattened (q, nu) in canonical order with degenerate points removed.
 
-    Also returns the (q_steps, nu_steps) mask of the points kept.
+    Also returns a notice per point removed.
     """
     qs, nus = spec.axes()
     q = np.repeat(qs, nus.size)
     nu = np.tile(nus, qs.size)
-    keep = ~((q == 1.0) & (nu == 0.0))
+    keep = _defined(qs, nus).ravel()
     notices = tuple(
         f"skipped undefined point q={format_value(qv)}, nu={format_value(nv)}"
         for qv, nv in zip(q[~keep], nu[~keep])
     )
-    return q[keep], nu[keep], keep.reshape(qs.size, nus.size), notices
+    return q[keep], nu[keep], notices
 
 
 def sweep_arrays(spec):
@@ -137,7 +149,7 @@ def sweep_arrays(spec):
     Both routes go through `measures_from_spectra`, so the gap measures
     only how far their spectra differ.
     """
-    q, nu, _, notices = _flat_grid(spec)
+    q, nu, notices = _flat_grid(spec)
     alpha, beta, gamma = alpha_beta_gamma(q, nu)
     measures = measures_from_spectra(closed_form_spectra(alpha, beta, gamma), 4)
     total, collective, localized = measures
@@ -203,7 +215,7 @@ def verify_sweep(spec, columns, tol=1e-9):
     grid order, as `sweep_arrays` returns them.
     """
     require_positive("tol", tol)
-    _, _, keep, _ = _flat_grid(spec)
+    keep = _defined(*spec.axes())
     grid = np.full(keep.shape, np.nan)
     grid[keep] = columns["c_total"]
     max_violation = float(np.max(-columns["triangle_slack"]))
@@ -223,15 +235,13 @@ def max_spectra_gap(spec=None):
     """Largest closed-form vs eigensolver spectrum gap over a grid."""
     if spec is None:
         spec = SweepSpec()
-    q, nu, _, _ = _flat_grid(spec)
+    q, nu, _ = _flat_grid(spec)
     alpha, beta, gamma = alpha_beta_gamma(q, nu)
     closed = closed_form_spectra(alpha, beta, gamma)
-    states = reference_states(detector_matrix(alpha, beta, gamma), (2, 2))
-    worst = 0.0
-    for name, values in closed.items():
-        numeric = hermitian_eigenvalues(states[name])
-        worst = max(worst, float(np.max(np.abs(numeric - values))))
-    return worst
+    numeric = numeric_spectra(detector_matrix(alpha, beta, gamma), (2, 2))
+    return max(
+        float(np.max(np.abs(numeric[name] - values))) for name, values in closed.items()
+    )
 
 
 def find_min_c_total(nu, q_lo=0.0, q_hi=1.0, xtol=1e-6):

@@ -139,12 +139,15 @@ def test_infinite_input_is_usage_error(args, flag):
     assert f"{flag} must be finite" in proc.stderr
 
 
-def test_eval_overflowing_coupling_is_runtime_error_not_nan():
-    # nu^2 overflows, so the weights are NaN; this must fail, not print NaN
+def test_eval_overflowing_coupling_evaluates():
+    # nu^2 overflows; the weights take their limit (0, q/(1+q), 1/(1+q))
     proc = run_cli("eval", "--q", "0.3", "--nu", "1e200")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "error:" in proc.stderr
+    assert proc.returncode == 0
+    block = parse_block(proc.stdout)
+    assert len(block) == 7
+    assert all(math.isfinite(float(value)) for value in block.values())
+    assert float(block["alpha"]) == 0.0
+    assert float(block["beta"]) == pytest.approx(0.3 / 1.3, abs=1e-11)
 
 
 def test_eval_accepts_strong_coupling_with_warning():
@@ -304,7 +307,9 @@ def test_verify_unreachable_tolerance_reports_failure():
 
 
 def test_verify_rejects_bad_grid():
-    assert run_cli("verify", "--grid", "0", "--tol", "1e-9").returncode == 2
+    proc = run_cli("verify", "--grid", "0", "--tol", "1e-9")
+    assert proc.returncode == 2
+    assert "--grid must be positive" in proc.stderr
     assert run_cli("verify", "--grid", "11", "--tol", "-1").returncode == 2
 
 

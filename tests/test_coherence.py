@@ -18,7 +18,9 @@ from unruh_coherence import (
     divergence_sqrt,
     product_surrogate,
 )
-from unruh_coherence.coherence import sqrt_clipped
+from unruh_coherence import coherence
+from unruh_coherence.coherence import numeric_spectra, reference_states, sqrt_clipped
+from unruh_coherence.linalg import hermitian_eigenvalues
 
 SEED = 20240812
 
@@ -214,6 +216,52 @@ def test_components_match_individual_measures():
 def test_components_reject_non_unit_trace(trace):
     with pytest.raises(ValidationError, match="trace differs from 1"):
         coherence_components(np.eye(4) * (trace / 4.0), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "rho, dims, error, message",
+    [
+        (np.triu(np.ones((4, 4))) / 4.0, (2, 2), ValidationError, "not Hermitian"),
+        (np.eye(4) / 4.0, (2, 3), DimensionError, "product of factors"),
+        (np.eye(4) / 4.0, (4,), DimensionError, "at least two tensor factors"),
+    ],
+)
+def test_components_reject_bad_input(rho, dims, error, message):
+    with pytest.raises(error, match=message):
+        coherence_components(rho, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2)])
+def test_numeric_spectra_match_eigensolver_on_every_family(dims):
+    # the derived families (product outer product in kron order, the two
+    # mixtures with I/d) against a full solve of each assembled matrix
+    rng = np.random.default_rng(SEED + 12)
+    batch = np.stack(
+        [oracles.random_density(rng, math.prod(dims)) for _ in range(20)]
+    )
+    spectra = numeric_spectra(batch, dims)
+    families = reference_states(batch, dims)
+    assert list(spectra) == list(families)
+    for name, matrices in families.items():
+        np.testing.assert_allclose(
+            spectra[name], hermitian_eigenvalues(matrices), rtol=0.0, atol=1e-12
+        )
+
+
+def test_components_solve_two_full_matrices_per_state(monkeypatch):
+    solved = []
+
+    def counting(matrix, *args, **kwargs):
+        solved.append(np.shape(matrix))
+        return hermitian_eigenvalues(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(coherence, "hermitian_eigenvalues", counting)
+    rng = np.random.default_rng(SEED + 13)
+    n = 7
+    batch = np.stack([oracles.random_density(rng, 4) for _ in range(n)])
+    coherence_components(batch, (2, 2))
+    full = sum(math.prod(shape[:-2]) for shape in solved if shape[-1] == 4)
+    assert full == 2 * n
 
 
 def test_components_batch_matches_scalar():

@@ -54,6 +54,31 @@ def test_weights_generic_point():
     assert float(g) == pytest.approx(2.0 / 11.0, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "q, nu, expected",
+    [
+        # nu*nu underflows to 0 at q=1
+        (1.0, 1e-170, (0.0, 0.5, 0.5)),
+        # nu*nu overflows: the limit (0, q/(1+q), 1/(1+q))
+        (0.3, 1e200, (0.0, 0.3 / 1.3, 1.0 / 1.3)),
+        (0.0, 1e200, (0.0, 0.0, 1.0)),
+        (1.0, 1e200, (0.0, 0.5, 0.5)),
+        # nu*nu is finite but the denominator overflows
+        (0.95, 1.3e154, (0.0, 0.95 / 1.95, 1.0 / 1.95)),
+    ],
+)
+def test_weights_at_the_edges_of_the_float_range(q, nu, expected):
+    assert ModelParams(q=q, nu=nu).is_degenerate() is False
+    weights = alpha_beta_gamma(q, nu)
+    assert [float(w) for w in weights] == pytest.approx(expected, abs=1e-15)
+    # inside a batch, the limit leaves the other points' arithmetic alone
+    batch = alpha_beta_gamma(np.array([0.5, q]), np.array([0.5, nu]))
+    generic = alpha_beta_gamma(0.5, 0.5)
+    assert [float(w[1]) for w in batch] == [float(w) for w in weights]
+    assert [float(w[0]) for w in batch] == [float(w) for w in generic]
+    assert np.all(np.isfinite(coherence_closed_form(q, nu).c_total))
+
+
 def test_weights_domain_errors():
     for q, nu in ((-0.1, 0.5), (1.1, 0.5), (0.5, -0.2), (float("nan"), 0.1)):
         with pytest.raises(DomainError):

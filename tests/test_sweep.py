@@ -55,6 +55,8 @@ def test_spec_without_endpoints_drops_upper_edge():
         dict(nu_min=0.8, nu_max=0.2),
         dict(q_steps=0),
         dict(nu_steps=-3),
+        dict(q_steps=2.0),
+        dict(nu_steps=True),
         dict(q_min=float("nan")),
     ],
 )
