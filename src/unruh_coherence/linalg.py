@@ -4,9 +4,13 @@ Everything here operates on explicit numpy arrays.  Matrices may carry
 arbitrary leading batch axes; the last two axes are the matrix proper.
 Eigenvalues come from a hand-rolled cyclic complex Jacobi iteration
 applied to the Hermitian input directly and vectorised over the batch.
-Convergence is tested per matrix, so results are bit-for-bit
-reproducible across runs on the same platform, do not depend on the
-rest of the batch, and do not depend on LAPACK dispatch.
+The solver stores the batch last, as (d, d, n) arrays, so a rotation
+reads and writes contiguous length-n rows, and it works through the
+batch in blocks of a few thousand matrices, so its temporaries stay
+cache-sized.  Convergence is tested per matrix, so results are
+bit-for-bit reproducible across runs on the same platform, do not
+depend on the rest of the batch or on the block size, and do not
+depend on LAPACK dispatch.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ _OFFDIAG_TOL = 1e-13
 _MAX_SWEEPS = 100
 _TINY = np.finfo(float).tiny
 
+# Matrices per solved block.  A rotation's temporaries are rows of one
+# block, so they stay in cache and the allocator reuses their pages
+# instead of faulting in fresh ones; 2048 to 4096 time alike for d = 4.
+_BLOCK = 2048
+
 
 def _as_square(m, name="matrix"):
     m = np.asarray(m)
@@ -45,29 +54,34 @@ def _as_square(m, name="matrix"):
 
 
 def _offdiagonal_norm(a):
-    """Frobenius norm of the off-diagonal part, per batch entry.
+    """Frobenius norm of the off-diagonal part of each matrix of a (d, d, n) array.
 
-    Computed by masking the diagonal rather than subtracting norms,
-    which would lose all precision once the off-diagonal part is tiny.
+    Summed over the strict upper triangle, which the lower one mirrors
+    exactly, rather than found by subtracting norms, which would lose
+    all precision once the off-diagonal part is tiny.
     """
-    off = (a * ~np.eye(a.shape[-1], dtype=bool)).view(float)
-    return np.sqrt(np.einsum("nij,nij->n", off, off))
+    upper = a[np.triu_indices(a.shape[0], 1)]
+    squares = np.einsum("kn,kn->n", upper.real, upper.real)
+    squares += np.einsum("kn,kn->n", upper.imag, upper.imag)
+    return np.sqrt(2.0 * squares)
 
 
 def _jacobi_sweep(a):
     """One cyclic sweep of complex Jacobi rotations, in place, over the batch.
 
-    For each pair (p, q) a unit phase on index q makes a[p, q] real and a
-    real rotation zeroes it.  Rows p and q are computed and the columns
-    set from them, so a stays exactly Hermitian with a real diagonal.
+    `a` is batch-last, shape (d, d, n), so every pivot reads and writes
+    contiguous length-n rows.  For each pair (p, q) a unit phase on
+    index q makes a[p, q] real and a real rotation zeroes it.  Rows p
+    and q are computed and the columns set from them, so a stays exactly
+    Hermitian with a real diagonal.
     """
-    dim = a.shape[-1]
+    dim = a.shape[0]
     for p in range(dim - 1):
         for q in range(p + 1, dim):
-            apq = a[:, p, q, None]
+            apq = a[p, q]
             r = np.abs(apq)
-            app = a[:, p, p, None].real.copy()
-            aqq = a[:, q, q, None].real.copy()
+            app = a[p, p].real.copy()
+            aqq = a[q, q].real.copy()
             # Stable closed-form rotation angle: t is the smaller root
             # of t^2 + 2*tau*t - 1 = 0, which zeroes the (p, q) entry;
             # tau overflowing for tiny r gives t = 0.  A subnormal pivot
@@ -83,15 +97,43 @@ def _jacobi_sweep(a):
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             phase = np.where(rotate, apq / safe_r, 1.0)
-            row_p = a[:, p, :].copy()
-            row_q = a[:, q, :] * phase
-            a[:, p, :] = c * row_p - s * row_q
-            a[:, q, :] = s * row_p + c * row_q
-            a[:, p, p, None] = app - t * r
-            a[:, q, q, None] = aqq + t * r
-            a[:, p, q] = a[:, q, p] = 0.0
-            a[:, :, p] = a[:, p, :].conj()
-            a[:, :, q] = a[:, q, :].conj()
+            row_p = a[p].copy()
+            row_q = a[q] * phase
+            a[p] = c * row_p - s * row_q
+            a[q] = s * row_p + c * row_q
+            a[p, p] = app - t * r
+            a[q, q] = aqq + t * r
+            a[p, q] = a[q, p] = 0.0
+            a[:, p] = a[p].conj()
+            a[:, q] = a[q].conj()
+
+
+def _solve_block(m):
+    """Ascending eigenvalues of a hermiticity-checked (n, d, d) block."""
+    # Force exact hermiticity (a real diagonal), batch-last; for
+    # already-Hermitian input this is a bitwise no-op.
+    m = m.transpose(1, 2, 0)
+    a = np.empty(m.shape, dtype=complex)
+    np.add(m, np.conj(m.transpose(1, 0, 2)), out=a)
+    a *= 0.5
+    pending = np.arange(a.shape[-1])
+    work = a
+    for sweep in range(_MAX_SWEEPS + 1):
+        residual = _offdiagonal_norm(work)
+        active = ~(residual < _OFFDIAG_TOL)
+        if not np.all(active):
+            a[..., pending[~active]] = work[..., ~active]
+            pending, residual = pending[active], residual[active]
+            work = work[..., active]
+        if not pending.size:
+            break
+        if sweep == _MAX_SWEEPS:
+            raise ValidationError(
+                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
+                f"(residual off-diagonal norm {float(np.max(residual)):.3e})"
+            )
+        _jacobi_sweep(work)
+    return np.sort(np.diagonal(a).real, axis=-1)
 
 
 def hermitian_eigenvalues(matrix, tol=DEFAULT_TOL):
@@ -104,6 +146,14 @@ def hermitian_eigenvalues(matrix, tol=DEFAULT_TOL):
     _OFFDIAG_TOL, so a matrix's eigenvalues do not depend on the rest of
     its batch.  A matrix still unconverged after _MAX_SWEEPS sweeps
     raises ValidationError.
+
+    The batch is solved in blocks of _BLOCK matrices, each stored
+    batch-last as a (d, d, n) array so that a rotation works on
+    contiguous rows; as convergence is per matrix, the result does not
+    depend on the block size.  Every block passes the hermiticity check
+    before any is solved, and its error reports the largest defect in
+    the whole batch.  The convergence error reports the residual of the
+    first block that fails.
 
     Parameters
     ----------
@@ -118,30 +168,15 @@ def hermitian_eigenvalues(matrix, tol=DEFAULT_TOL):
         Real eigenvalues in ascending order.
     """
     m = _as_square(np.asarray(matrix, dtype=complex))
-    defect = float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
+    batch_shape, dim = m.shape[:-2], m.shape[-1]
+    m = m.reshape((-1, dim, dim))
+    blocks = [m[start : start + _BLOCK] for start in range(0, len(m), _BLOCK)]
+    defect = max(
+        float(np.max(np.abs(b - np.conj(np.swapaxes(b, -1, -2))))) for b in blocks
+    )
     if defect > tol:
         raise ValidationError(f"matrix is not Hermitian (defect {defect:.3e})")
-    batch_shape, dim = m.shape[:-2], m.shape[-1]
-    # Force exact hermiticity (a real diagonal); for already-Hermitian
-    # input this is a bitwise no-op.
-    a = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2))).reshape((-1, dim, dim))
-    pending = np.arange(a.shape[0])
-    work = a
-    for sweep in range(_MAX_SWEEPS + 1):
-        residual = _offdiagonal_norm(work)
-        active = ~(residual < _OFFDIAG_TOL)
-        if not np.all(active):
-            a[pending[~active]] = work[~active]
-            pending, work, residual = pending[active], work[active], residual[active]
-        if not pending.size:
-            break
-        if sweep == _MAX_SWEEPS:
-            raise ValidationError(
-                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
-                f"(residual off-diagonal norm {float(np.max(residual)):.3e})"
-            )
-        _jacobi_sweep(work)
-    values = np.sort(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1)
+    values = np.concatenate([_solve_block(b) for b in blocks])
     return values.reshape(batch_shape + (dim,))
 
 

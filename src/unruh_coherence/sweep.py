@@ -42,6 +42,8 @@ CSV_FIELDS = (
     "path_gap",
 )
 CSV_HEADER = ",".join(CSV_FIELDS)
+# One CSV row; "%.12g" renders a float as format_value does, bar -0.0.
+_CSV_ROW = ",".join(["%.12g"] * len(CSV_FIELDS)) + "\n"
 
 # Slope comparisons on grid rows/columns treat |diff| <= this as flat.
 MONOTONE_TOL = 1e-12
@@ -94,6 +96,8 @@ class SweepSpec:
                 or steps < 1
             ):
                 raise ValidationError(f"{name} must be a positive integer")
+        if not np.any(_defined(*self.axes())):
+            raise ValidationError("grid holds no defined point: q=1, nu=0 is undefined")
 
     def axes(self):
         """The q and nu grids."""
@@ -170,8 +174,9 @@ def run_sweep(spec):
 def write_csv(records, stream):
     """Write records with the canonical header, '\\n' endings, 12 digits."""
     stream.write(CSV_HEADER + "\n")
-    for r in records:
-        stream.write(",".join(map(format_value, r)) + "\n")
+    # Adding 0.0 turns -0.0 into 0.0, as format_value does.
+    columns = [(np.array(column) + 0.0).tolist() for column in zip(*records)]
+    stream.writelines(_CSV_ROW % row for row in zip(*columns))
 
 
 def _monotone_fraction(values, axis):

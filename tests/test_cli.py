@@ -101,6 +101,13 @@ def test_eval_non_numeric_value_is_usage_error():
             "must be non-negative",
         ),
         (("verify", "--grid", "11", "--tol", "0"), "must be positive"),
+        (
+            (
+                "sweep", "--q-min", "1", "--q-max", "1", "--q-steps", "1",
+                "--nu-min", "0", "--nu-max", "0", "--nu-steps", "1",
+            ),
+            "no defined point",
+        ),
     ],
 )
 def test_eval_out_of_range_is_usage_error(args, fragment):

@@ -121,6 +121,39 @@ def test_eigenvalues_independent_of_batch(dim):
     assert np.array_equal(hermitian_eigenvalues(batch[::-1]), singles[::-1])
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_eigenvalues_independent_of_block_size(dim, monkeypatch):
+    rng = np.random.default_rng(SEED + 40 + dim)
+    batch = _mixed_batch(rng, dim)
+    default = hermitian_eigenvalues(batch)
+    monkeypatch.setattr(linalg, "_BLOCK", 3)
+    assert np.array_equal(hermitian_eigenvalues(batch), default)
+
+
+def test_batch_of_several_default_blocks_matches_single_solves():
+    rng = np.random.default_rng(SEED + 50)
+    base = _mixed_batch(rng, 4)
+    # the period of the tiling does not divide the block size, so every
+    # block starts at a different matrix of `base`
+    assert linalg._BLOCK % len(base)
+    index = np.arange(2 * linalg._BLOCK + 7) % len(base)
+    singles = np.stack([hermitian_eigenvalues(m) for m in base])
+    assert np.array_equal(hermitian_eigenvalues(base[index]), singles[index])
+
+
+def test_non_hermitian_matrix_in_a_later_block_rejected(monkeypatch):
+    monkeypatch.setattr(linalg, "_BLOCK", 3)
+    # the first block alone would fail to converge: no block may be
+    # solved before every block has passed the hermiticity check
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(SEED + 60)
+    batch = np.stack([oracles.random_hermitian(rng, 4) for _ in range(10)])
+    batch[1, 0, 1] += 1e-3
+    batch[7, 2, 3] += 0.25
+    with pytest.raises(ValidationError, match=r"not Hermitian \(defect 2\.500e-01\)"):
+        hermitian_eigenvalues(batch)
+
+
 def test_subnormal_offdiagonal_entry():
     tiny = 1e-310 + 1e-310j
     m = np.array([[1.0, tiny, 0.5], [np.conj(tiny), 0.0, 0.0], [0.5, 0.0, 2.0]])

@@ -8,6 +8,7 @@ import pytest
 
 from unruh_coherence import (
     DomainError,
+    SweepRecord,
     SweepSpec,
     ValidationError,
     coherence_closed_form,
@@ -17,7 +18,7 @@ from unruh_coherence import (
     verify_grid,
     write_csv,
 )
-from unruh_coherence.sweep import CSV_HEADER, format_value
+from unruh_coherence.sweep import CSV_FIELDS, CSV_HEADER, format_value
 
 SINGLET_COHERENCE = 0.7408069523805771
 
@@ -63,6 +64,15 @@ def test_spec_without_endpoints_drops_upper_edge():
 def test_spec_validation(kwargs):
     with pytest.raises(ValidationError):
         SweepSpec(**kwargs)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_spec_of_only_the_undefined_corner_is_rejected(steps, capsys):
+    # every point is q=1, nu=0, so run_sweep and verify_grid would get an
+    # empty grid
+    with pytest.raises(ValidationError, match="no defined point"):
+        SweepSpec(q_min=1.0, q_steps=steps, nu_max=0.0, nu_steps=steps)
+    assert capsys.readouterr().out == ""
 
 
 # ----------------------------------------------------------------- run_sweep
@@ -154,6 +164,13 @@ def test_csv_without_path_gap_matches_reference_digest(steps):
     digests = json.loads(REFERENCE.read_text(encoding="utf-8"))["grid_csv_sha256"]
     digest = hashlib.sha256(stripped.encode("utf-8")).hexdigest()
     assert digest == digests[f"{steps}x{steps}"]
+
+
+def test_csv_prints_negative_zero_as_zero():
+    buf = io.StringIO()
+    write_csv([SweepRecord(*[-0.0] * len(CSV_FIELDS))], buf)
+    zeros = ",".join(["0"] * len(CSV_FIELDS))
+    assert buf.getvalue() == CSV_HEADER + "\n" + zeros + "\n"
 
 
 def test_format_value_normalizes():
