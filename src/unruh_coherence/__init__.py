@@ -9,10 +9,7 @@ search) and `cli` (the `unruh-coherence` command).
 
 from .coherence import (
     CoherenceTriple,
-    coherence_collective,
     coherence_components,
-    coherence_localized,
-    coherence_total,
     coherence_triple,
     divergence_sqrt,
     measures_from_spectra,

@@ -52,12 +52,10 @@ _COMMAND_FLAGS = {
         "kappa": float,
     },
 }
+# Every flag is required except `sweep --out`.
 _REQUIRED_FLAGS = {
-    "eval": ("q", "nu"),
-    "sweep": ("q-min", "q-max", "q-steps", "nu-min", "nu-max", "nu-steps"),
-    "verify": ("grid", "tol"),
-    "spectra": ("q", "nu"),
-    "convert": ("omega", "accel", "eps", "delta", "kappa"),
+    command: tuple(flag for flag in flags if (command, flag) != ("sweep", "out"))
+    for command, flags in _COMMAND_FLAGS.items()
 }
 _HELP = {
     "eval": "evaluate the three coherence measures at one (q, nu) point",

@@ -77,23 +77,6 @@ def product_surrogate(rho, dims):
     return reduce(tensor_product, _reductions(rho, dims))
 
 
-def coherence_total(rho):
-    """Divergence from the maximally mixed state."""
-    rho = np.asarray(rho, dtype=complex)
-    return divergence_sqrt(rho, maximally_mixed(rho.shape[-1]))
-
-
-def coherence_collective(rho, dims):
-    """Divergence from the product of the state's own reductions."""
-    return divergence_sqrt(rho, product_surrogate(rho, dims))
-
-
-def coherence_localized(rho, dims):
-    """Divergence of the product of reductions from maximally mixed."""
-    rho = np.asarray(rho, dtype=complex)
-    return divergence_sqrt(product_surrogate(rho, dims), maximally_mixed(rho.shape[-1]))
-
-
 def reference_states(rho, dims):
     """The five matrices whose spectra determine all three measures.
 
@@ -141,7 +124,26 @@ def measures_from_spectra(spectra, dim):
 def _outer_spectrum(a, b):
     """Spectrum of A (x) B from those of A and B, unsorted."""
     out = a[..., :, None] * b[..., None, :]
-    return out.reshape(out.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-2] + (a.shape[-1] * b.shape[-1],))
+
+
+def family_spectra(state, product, mid_state_product, dim):
+    """The five family spectra from the three that need computing.
+
+    Returns a dict keyed and ordered like `reference_states`.  Mixing
+    with I/d, which commutes with everything, maps each eigenvalue w to
+    (w + 1/d)/2, so the two mixtures with I/d follow from the state and
+    product spectra, ascending if those are.  Both the closed-form and
+    the eigensolver route return through here.
+    """
+    inv_dim = 1.0 / dim
+    return {
+        "state": state,
+        "product": product,
+        "mid_state_mixed": 0.5 * (state + inv_dim),
+        "mid_state_product": mid_state_product,
+        "mid_product_mixed": 0.5 * (product + inv_dim),
+    }
 
 
 def numeric_spectra(rho, dims):
@@ -150,26 +152,22 @@ def numeric_spectra(rho, dims):
     Returns a dict keyed and ordered like `reference_states`, each value
     ascending along its last axis.  Only the state and its mixture with
     the product of reductions go through `hermitian_eigenvalues` at full
-    dimension; the other three families follow from exact identities:
-    the product's spectrum is the sorted outer product of the reductions'
-    spectra, since spec(A (x) B) = {a_i b_j}, and mixing with I/d, which
-    commutes with everything, maps each eigenvalue w to (w + 1/d)/2.
+    dimension; the product's spectrum is the sorted outer product of the
+    reductions' spectra, since spec(A (x) B) = {a_i b_j}, and
+    `family_spectra` derives the two mixtures with I/d.
     """
     rho = np.asarray(rho, dtype=complex)
     reductions = _reductions(rho, dims)
     product = reduce(tensor_product, reductions)
-    state = hermitian_eigenvalues(rho)
     product_values = np.sort(
         reduce(_outer_spectrum, map(hermitian_eigenvalues, reductions)), axis=-1
     )
-    inv_dim = 1.0 / rho.shape[-1]
-    return {
-        "state": state,
-        "product": product_values,
-        "mid_state_mixed": 0.5 * (state + inv_dim),
-        "mid_state_product": hermitian_eigenvalues(equal_mixture(rho, product)),
-        "mid_product_mixed": 0.5 * (product_values + inv_dim),
-    }
+    return family_spectra(
+        hermitian_eigenvalues(rho),
+        product_values,
+        hermitian_eigenvalues(equal_mixture(rho, product)),
+        rho.shape[-1],
+    )
 
 
 def coherence_components(rho, dims):

@@ -169,6 +169,8 @@ def hermitian_eigenvalues(matrix, tol=DEFAULT_TOL):
     """
     m = _as_square(np.asarray(matrix, dtype=complex))
     batch_shape, dim = m.shape[:-2], m.shape[-1]
+    if not m.size:
+        return np.zeros(batch_shape + (dim,))
     m = m.reshape((-1, dim, dim))
     blocks = [m[start : start + _BLOCK] for start in range(0, len(m), _BLOCK)]
     defect = max(
@@ -215,7 +217,7 @@ def von_neumann_entropy(rho, tol=DEFAULT_TOL):
 
 def check_unit_trace(values, tol=DEFAULT_TOL):
     """Return spectra whose sums are 1 within `tol`; else ValidationError."""
-    trace_defect = float(np.max(np.abs(np.sum(values, axis=-1) - 1.0)))
+    trace_defect = float(np.max(np.abs(np.sum(values, axis=-1) - 1.0), initial=0.0))
     if trace_defect > tol:
         raise ValidationError(f"trace differs from 1 by {trace_defect:.3e}")
     return values

@@ -33,7 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import CoherenceTriple, measures_from_spectra, numeric_spectra
+from .coherence import (
+    CoherenceTriple,
+    family_spectra,
+    measures_from_spectra,
+    numeric_spectra,
+)
 from .errors import DomainError, require_positive
 
 # Unused here since spectra come from `numeric_spectra`; kept bound because
@@ -60,7 +65,7 @@ def _coupling_warning(nu_squared):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless model point (q, nu)."""
+    """Dimensionless model point (q, nu), defined off the corner q=1, nu=0."""
 
     q: float
     nu: float
@@ -70,14 +75,12 @@ class ModelParams:
             raise DomainError(f"q must lie in [0, 1], got {self.q!r}")
         if not (math.isfinite(self.nu) and self.nu >= 0.0):
             raise DomainError(f"nu must be non-negative, got {self.nu!r}")
+        if self.q == 1.0 and self.nu == 0.0:
+            raise DomainError("state is undefined at q=1, nu=0")
 
     @property
     def nu_squared(self):
         return self.nu * self.nu
-
-    def is_degenerate(self):
-        """True at the undefined corner q=1, nu=0."""
-        return self.q == 1.0 and self.nu == 0.0
 
     def validity_warnings(self):
         w = _coupling_warning(self.nu_squared)
@@ -210,8 +213,6 @@ class ModelPoint:
 
 def detector_state(params):
     """Build the ModelPoint for validated parameters."""
-    if params.is_degenerate():
-        raise DomainError("state is undefined at q=1, nu=0")
     alpha, beta, gamma = alpha_beta_gamma(params.q, params.nu)
     return ModelPoint(
         params=params,
@@ -225,19 +226,19 @@ def detector_state(params):
 def closed_form_spectra(alpha, beta, gamma):
     """Exact eigenvalues of the five reference states; batch aware.
 
-    With u = alpha + beta and v = alpha + gamma (the reduction weights):
+    With u = alpha + beta and v = alpha + gamma (the reduction weights),
+    three families carry closed forms:
 
         state              {0, 2*alpha, beta, gamma}
         product            {u^2, u*v, u*v, v^2}
-        mid_state_mixed    {1/8, (1+8*alpha)/8, (1+4*beta)/8, (1+4*gamma)/8}
         mid_state_product  {(beta+u^2)/2, u*v/2, (2*alpha+u*v)/2, (gamma+v^2)/2}
-        mid_product_mixed  {(1+4*u^2)/8, (1+4*u*v)/8, (1+4*u*v)/8, (1+4*v^2)/8}
 
-    Returns a dict keyed and ordered like `reference_states`, each
-    value sorted ascending along its last axis, so the closed-form and
-    eigensolver spectra feed the same `measures_from_spectra`.  Raises
-    DomainError if the weights are not a normalized non-negative triple
-    (2*alpha + beta + gamma = 1).
+    and `family_spectra` derives the two mixtures with I/4 from the
+    first two, as the eigensolver route does.  Returns a dict keyed and
+    ordered like `reference_states`, each value sorted ascending along
+    its last axis, so the closed-form and eigensolver spectra feed the
+    same `measures_from_spectra`.  Raises DomainError if the weights are
+    not a normalized non-negative triple (2*alpha + beta + gamma = 1).
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -251,33 +252,21 @@ def closed_form_spectra(alpha, beta, gamma):
     u = alpha + beta
     v = alpha + gamma
     uv = u * v
-    zeros = np.zeros_like(alpha)
 
     def pack(*entries):
         return np.sort(np.stack(np.broadcast_arrays(*entries), axis=-1), axis=-1)
 
-    return {
-        "state": pack(zeros, 2.0 * alpha, beta, gamma),
-        "product": pack(u * u, uv, uv, v * v),
-        "mid_state_mixed": pack(
-            0.125 * np.ones_like(alpha),
-            0.125 * (1.0 + 8.0 * alpha),
-            0.125 * (1.0 + 4.0 * beta),
-            0.125 * (1.0 + 4.0 * gamma),
-        ),
-        "mid_state_product": pack(
+    return family_spectra(
+        pack(np.zeros_like(alpha), 2.0 * alpha, beta, gamma),
+        pack(u * u, uv, uv, v * v),
+        pack(
             0.5 * (beta + u * u),
             0.5 * uv,
             0.5 * (2.0 * alpha + uv),
             0.5 * (gamma + v * v),
         ),
-        "mid_product_mixed": pack(
-            0.125 * (1.0 + 4.0 * u * u),
-            0.125 * (1.0 + 4.0 * uv),
-            0.125 * (1.0 + 4.0 * uv),
-            0.125 * (1.0 + 4.0 * v * v),
-        ),
-    }
+        4,
+    )
 
 
 def coherence_closed_form(q, nu):

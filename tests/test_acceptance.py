@@ -18,7 +18,6 @@ from unruh_coherence import (
     SweepSpec,
     coherence_closed_form,
     coherence_components,
-    coherence_total,
     coherence_triple,
     detector_state,
     hermitian_eigenvalues,
@@ -268,7 +267,9 @@ def test_criterion_9_property_suite():
     )
     assert float(np.max(entropy_dev)) <= 1e-9
 
-    c_total_dev = np.abs(coherence_total(rotated) - coherence_total(rho))
+    c_total_dev = np.abs(
+        coherence_components(rotated, (2, 2))[0] - coherence_components(rho, (2, 2))[0]
+    )
     assert float(np.max(c_total_dev)) <= 1e-9
 
     entropy = spectrum_entropy(hermitian_eigenvalues(random_two_qubit_batch(rng, n)))

@@ -57,10 +57,45 @@ def test_eval_singlet_point():
     assert float(block["triangle_slack"]) == 0.0
 
 
-def test_eval_missing_flag_is_usage_error():
-    proc = run_cli("eval", "--q", "0.5")
+@pytest.mark.parametrize(
+    "args, missing",
+    [
+        (("eval", "--q", "0.5"), "nu"),
+        (
+            (
+                "sweep", "--q-min", "0", "--q-max", "1", "--q-steps", "2",
+                "--nu-max", "1", "--nu-steps", "2",
+            ),
+            "nu-min",
+        ),
+        (("verify", "--tol", "1e-9"), "grid"),
+        (("spectra", "--nu", "0.5"), "q"),
+        (
+            ("convert", "--omega", "1", "--accel", "1", "--eps", "0.1", "--delta", "20"),
+            "kappa",
+        ),
+        # several missing: the first in flag order is reported
+        (("sweep", "--nu-steps", "2", "--q-max", "1"), "q-min"),
+        # --out is the one optional flag
+        (
+            (
+                "sweep", "--q-min", "0", "--q-max", "1", "--q-steps", "2",
+                "--nu-min", "0", "--nu-max", "1", "--nu-steps", "2",
+            ),
+            None,
+        ),
+    ],
+    ids=["eval", "sweep", "verify", "spectra", "convert", "sweep-first", "sweep-no-out"],
+)
+def test_missing_flag_is_usage_error(args, missing):
+    proc = run_cli(*args)
+    if missing is None:
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("nu,q,")
+        return
     assert proc.returncode == 2
-    assert "--nu" in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.rstrip().endswith(f"missing required flag --{missing}")
 
 
 def test_eval_unknown_flag_is_usage_error():
@@ -164,12 +199,12 @@ def test_eval_accepts_strong_coupling_with_warning():
     assert "nu^2" in proc.stderr
 
 
-def test_eval_degenerate_point_is_runtime_error():
+def test_eval_degenerate_point_is_usage_error():
     proc = run_cli("eval", "--q", "1", "--nu", "0")
-    assert proc.returncode == 1
+    assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error:")
-    assert "q=1" in proc.stderr
+    assert proc.stderr.startswith("usage:")
+    assert "state is undefined at q=1, nu=0" in proc.stderr
 
 
 def test_eval_coupling_warning_goes_to_stderr():
@@ -355,7 +390,9 @@ def test_spectra_rows_sum_to_one():
 
 def test_spectra_degenerate_point_errors():
     proc = run_cli("spectra", "--q", "1", "--nu", "0")
-    assert proc.returncode == 1
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "state is undefined at q=1, nu=0" in proc.stderr
 
 
 # ----------------------------------------------------------------- convert

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,10 +11,7 @@ from unruh_coherence import (
     DimensionError,
     NumericalConsistencyError,
     ValidationError,
-    coherence_collective,
     coherence_components,
-    coherence_localized,
-    coherence_total,
     coherence_triple,
     divergence_sqrt,
     product_surrogate,
@@ -140,51 +138,65 @@ def test_product_surrogate_needs_two_factors():
 # ------------------------------------------------------------------- measures
 
 
+def total(rho):
+    return coherence_components(rho, (2, 2))[0]
+
+
+def collective(rho):
+    return coherence_components(rho, (2, 2))[1]
+
+
+def localized(rho):
+    return coherence_components(rho, (2, 2))[2]
+
+
 def test_total_coherence_of_maximally_mixed_vanishes():
-    assert float(coherence_total(np.eye(4) / 4.0)) <= 1e-12
+    assert float(total(np.eye(4) / 4.0)) <= 1e-12
 
 
 def test_total_coherence_of_singlet():
-    assert float(coherence_total(oracles.singlet_state())) == pytest.approx(
+    assert float(total(oracles.singlet_state())) == pytest.approx(
         SINGLET_COHERENCE, abs=1e-12
     )
 
 
 def test_total_coherence_of_uniform_rank_two():
     rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    assert float(coherence_total(rho)) == pytest.approx(RANK_TWO_COHERENCE, abs=1e-12)
+    assert float(total(rho)) == pytest.approx(RANK_TWO_COHERENCE, abs=1e-12)
 
 
 def test_collective_coherence_vanishes_on_product_states():
     rng = np.random.default_rng(SEED + 4)
-    for _ in range(30):
-        rho = np.kron(oracles.random_density(rng, 2), oracles.random_density(rng, 2))
-        # the radicand is pure round-off here, so only its square root's
-        # magnitude is meaningful
-        assert float(coherence_collective(rho, (2, 2))) <= 1e-6
+    rho = np.stack(
+        [
+            np.kron(oracles.random_density(rng, 2), oracles.random_density(rng, 2))
+            for _ in range(30)
+        ]
+    )
+    # the radicand is pure round-off here, so only its square root's
+    # magnitude is meaningful
+    assert float(np.max(collective(rho))) <= 1e-6
 
 
 def test_collective_equals_total_for_singlet():
     rho = oracles.singlet_state()
-    assert float(coherence_collective(rho, (2, 2))) == pytest.approx(
-        float(coherence_total(rho)), abs=1e-9
-    )
+    assert float(collective(rho)) == pytest.approx(float(total(rho)), abs=1e-9)
 
 
 def test_localized_coherence_examples():
     # the singlet built from a normalized vector has reductions equal to I/2
     # only up to round-off; the square root amplifies the ~1e-16 entropy noise
     # in the radicand to ~1e-8, so the bound here is loose by design
-    assert float(coherence_localized(oracles.singlet_state(), (2, 2))) <= 1e-6
+    assert float(localized(oracles.singlet_state())) <= 1e-6
     rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    assert float(coherence_localized(rho, (2, 2))) <= 1e-9
-    assert float(coherence_localized(q0nu1_state(), (2, 2))) == pytest.approx(
+    assert float(localized(rho)) <= 1e-9
+    assert float(localized(q0nu1_state())) == pytest.approx(
         LOCALIZED_Q0_NU1, abs=1e-12
     )
 
 
 def test_collective_coherence_q0_nu1():
-    assert float(coherence_collective(q0nu1_state(), (2, 2))) == pytest.approx(
+    assert float(collective(q0nu1_state())) == pytest.approx(
         COLLECTIVE_Q0_NU1, abs=1e-12
     )
 
@@ -199,17 +211,28 @@ def test_triple_packaging_and_slack():
 
 
 def test_components_match_individual_measures():
+    # each measure against the literal definition on its explicit pair
     rng = np.random.default_rng(SEED + 5)
-    for _ in range(20):
-        rho = oracles.random_density(rng, 4)
-        total, collective, localized = coherence_components(rho, (2, 2))
-        assert float(total) == pytest.approx(float(coherence_total(rho)), abs=1e-12)
-        assert float(collective) == pytest.approx(
-            float(coherence_collective(rho, (2, 2))), abs=1e-12
-        )
-        assert float(localized) == pytest.approx(
-            float(coherence_localized(rho, (2, 2))), abs=1e-12
-        )
+    rho = np.stack([oracles.random_density(rng, 4) for _ in range(20)])
+    product = product_surrogate(rho, (2, 2))
+    mixed = np.eye(4) / 4.0
+    got = coherence_components(rho, (2, 2))
+    expected = (
+        divergence_sqrt(rho, mixed),
+        divergence_sqrt(rho, product),
+        divergence_sqrt(product, mixed),
+    )
+    for values, reference in zip(got, expected):
+        np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+def test_components_of_empty_batch_are_empty(dims):
+    dim = math.prod(dims)
+    measures = coherence_components(np.zeros((0, dim, dim)), dims)
+    assert len(measures) == 3
+    for values in measures:
+        assert values.shape == (0,)
 
 
 @pytest.mark.parametrize("trace", [2.0, 0.5])
@@ -284,17 +307,37 @@ def test_measures_bounded_by_one_bit():
         assert float(np.max(values)) <= 1.0 + 1e-9
 
 
-def test_total_coherence_unitarily_invariant():
+def rotate(u, rho):
+    return u @ rho @ np.conj(np.swapaxes(u, -1, -2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+def test_measures_basis_independent(dims):
+    # All three measures are invariant under the unitaries that keep the
+    # tensor split: local U_A (x) U_B (x) ..., and, as a special case, a
+    # swap of equal factors.  c_total ignores the split, so it is
+    # invariant under every unitary.  The deviations are round-off, at
+    # most ~5e-15 on these batches.
     rng = np.random.default_rng(SEED + 8)
-    for _ in range(100):
-        rho = oracles.random_density(rng, 4)
-        u = oracles.random_unitary(rng, 4)
-        rotated = u @ rho @ u.conj().T
-        assert float(coherence_total(rotated)) == pytest.approx(
-            float(coherence_total(rho)), abs=1e-9
-        )
-    # collective and localized depend on the tensor split, so no such
-    # invariance is asserted for them
+    dim = math.prod(dims)
+    n = 200
+    rho = np.stack([oracles.random_density(rng, dim) for _ in range(n)])
+    local = np.stack(
+        [reduce(np.kron, [oracles.random_unitary(rng, d) for d in dims]) for _ in range(n)]
+    )
+    unitary = np.stack([oracles.random_unitary(rng, dim) for _ in range(n)])
+    base = np.stack(coherence_components(rho, dims))
+
+    def assert_invariant(got, expected):
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    assert_invariant(np.stack(coherence_components(rotate(local, rho), dims)), base)
+    assert_invariant(coherence_components(rotate(unitary, rho), dims)[0], base[0])
+    if dims[0] == dims[1]:
+        # the permutation |a b ...> -> |b a ...> of the first two factors
+        swap = np.eye(dim).reshape(dims + (dim,))
+        swap = np.swapaxes(swap, 0, 1).reshape(dim, dim)
+        assert_invariant(np.stack(coherence_components(rotate(swap, rho), dims)), base)
 
 
 def test_triangle_inequality_on_random_states():
@@ -307,12 +350,10 @@ def test_triangle_inequality_on_random_states():
 
 def test_swap_symmetry():
     rng = np.random.default_rng(SEED + 10)
-    for _ in range(100):
-        rho = oracles.random_density(rng, 4)
-        a = coherence_components(rho, (2, 2))
-        b = coherence_components(oracles.swap_qubits(rho), (2, 2))
-        for x, y in zip(a, b):
-            assert float(x) == pytest.approx(float(y), abs=1e-12)
+    rho = np.stack([oracles.random_density(rng, 4) for _ in range(100)])
+    a = np.stack(coherence_components(rho, (2, 2)))
+    b = np.stack(coherence_components(oracles.swap_qubits(rho), (2, 2)))
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def test_equal_reductions_force_collective_equals_total():

@@ -161,6 +161,14 @@ def test_subnormal_offdiagonal_entry():
     assert np.max(np.abs(got - oracles.char_poly_eigenvalues(m))) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 2, 2)])
+def test_empty_batch(shape):
+    values = hermitian_eigenvalues(np.zeros(shape))
+    assert values.shape == shape[:-1]
+    assert linalg.check_unit_trace(values) is values
+    assert von_neumann_entropy(np.zeros(shape)).shape == shape[:-2]
+
+
 def test_diagonal_input_is_exact():
     w = hermitian_eigenvalues(np.diag([0.7, 0.1, 0.0, 0.2]).astype(complex))
     assert list(w) == [0.0, 0.1, 0.2, 0.7]
