@@ -7,6 +7,11 @@ notices go to stderr.
 
 Exit codes: 0 success, 1 runtime/verification failure, 2 usage error.
 
+A subcommand's flags are the parameters of the constructor that builds
+and range-checks its inputs (ModelParams, SweepSpec, PhysicalParams, or
+`_verify_inputs`), with '_' written '-'; `sweep --out` is the one flag
+beyond them and the one that may be left out.
+
 Any subcommand accepts --config PATH pointing at a key=value file
 ('#' starts a comment); keys are the long flag names with '-' or '_'.
 Flags given on the command line take precedence over the file.
@@ -15,6 +20,7 @@ Flags given on the command line take precedence over the file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 
@@ -30,40 +36,29 @@ from .model import (
 )
 from .sweep import SweepSpec, format_value, run_sweep, verify_grid, write_csv
 
-# Flag tables drive parser construction and config-file merging alike.
-_COMMAND_FLAGS = {
-    "eval": {"q": float, "nu": float},
-    "sweep": {
-        "q-min": float,
-        "q-max": float,
-        "q-steps": int,
-        "nu-min": float,
-        "nu-max": float,
-        "nu-steps": int,
-        "out": str,
-    },
-    "verify": {"grid": int, "tol": float},
-    "spectra": {"q": float, "nu": float},
-    "convert": {
-        "omega": float,
-        "accel": float,
-        "eps": float,
-        "delta": float,
-        "kappa": float,
-    },
-}
-# Every flag is required except `sweep --out`.
-_REQUIRED_FLAGS = {
-    command: tuple(flag for flag in flags if (command, flag) != ("sweep", "out"))
-    for command, flags in _COMMAND_FLAGS.items()
-}
-_HELP = {
-    "eval": "evaluate the three coherence measures at one (q, nu) point",
-    "sweep": "evaluate a (q, nu) grid and emit CSV",
-    "verify": "scan a grid for triangle-inequality and cross-path violations",
-    "spectra": "print closed-form spectra beside eigensolver values",
-    "convert": "map physical detector parameters to (q, nu^2)",
-}
+
+def _verify_inputs(grid: int, tol: float):
+    """`verify`'s inputs: the standard grid at grid x grid, and `tol`."""
+    return (
+        SweepSpec(q_steps=require_positive("--grid", grid), nu_steps=grid),
+        require_positive("tol", tol),
+    )
+
+
+# Builder annotations are strings under `from __future__ import annotations`.
+_TYPES = {"float": float, "int": int}
+
+
+def _flags(command):
+    """Flag -> type: the builder's parameters in order, then `sweep --out`."""
+    build = _COMMANDS[command][1]
+    flags = {
+        name.replace("_", "-"): _TYPES[param.annotation]
+        for name, param in inspect.signature(build).parameters.items()
+    }
+    if command == "sweep":
+        flags["out"] = str
+    return flags
 
 
 def _dest(flag):
@@ -76,12 +71,11 @@ def build_parser():
         description="Coherence measures for an accelerated detector pair.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _COMMAND_FLAGS.items():
-        sub = subparsers.add_parser(command, help=_HELP[command])
-        for flag, kind in flags.items():
+    for command, (help_text, _, _) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
+        for flag, kind in _flags(command).items():
             sub.add_argument(
                 f"--{flag}",
-                dest=_dest(flag),
                 type=kind,
                 default=None,
                 metavar="N" if kind is int else ("PATH" if kind is str else "R"),
@@ -91,7 +85,7 @@ def build_parser():
 
 
 def _apply_config(parser, ns):
-    flags = _COMMAND_FLAGS[ns.command]
+    flags = _flags(ns.command)
     try:
         with open(ns.config, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -119,40 +113,24 @@ def _apply_config(parser, ns):
                 )
 
 
-# Each command's inputs, built at parse time.  The constructors are the
-# only range checks; a CoherenceError they raise is a usage error.
-_INPUTS = {
-    "eval": lambda ns: ModelParams(q=ns.q, nu=ns.nu),
-    "spectra": lambda ns: ModelParams(q=ns.q, nu=ns.nu),
-    "sweep": lambda ns: SweepSpec(
-        q_min=ns.q_min,
-        q_max=ns.q_max,
-        q_steps=ns.q_steps,
-        nu_min=ns.nu_min,
-        nu_max=ns.nu_max,
-        nu_steps=ns.nu_steps,
-    ),
-    "verify": lambda ns: (
-        SweepSpec(q_steps=require_positive("--grid", ns.grid), nu_steps=ns.grid),
-        require_positive("tol", ns.tol),
-    ),
-    "convert": lambda ns: PhysicalParams(
-        omega=ns.omega, accel=ns.accel, eps=ns.eps, delta=ns.delta, kappa=ns.kappa
-    ),
-}
-
-
 def _validate(parser, ns):
-    """Check flag presence and finiteness, then build `ns.inputs`."""
-    for flag in _REQUIRED_FLAGS[ns.command]:
+    """Check flag presence and finiteness, then build `ns.inputs`.
+
+    Every flag is required except `sweep --out`.  The builder is the
+    only range check; a CoherenceError it raises is a usage error.
+    """
+    flags = _flags(ns.command)
+    flags.pop("out", None)
+    for flag in flags:
         if getattr(ns, _dest(flag)) is None:
             parser.error(f"missing required flag --{flag}")
-    for flag, kind in _COMMAND_FLAGS[ns.command].items():
+    for flag, kind in flags.items():
         value = getattr(ns, _dest(flag))
         if kind is float and not math.isfinite(value):
             parser.error(f"--{flag} must be finite, got {value}")
+    build = _COMMANDS[ns.command][1]
     try:
-        ns.inputs = _INPUTS[ns.command](ns)
+        ns.inputs = build(**{_dest(flag): getattr(ns, _dest(flag)) for flag in flags})
     except CoherenceError as exc:
         parser.error(str(exc))
 
@@ -242,23 +220,39 @@ def cmd_convert(ns):
     return 0
 
 
+# One entry per subcommand: (help, build, run).  `build` turns the
+# parsed flags into the inputs `run` reads as `ns.inputs`, and its
+# parameters are the subcommand's flags: `--q-steps` is `q_steps`.
 _COMMANDS = {
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-    "spectra": cmd_spectra,
-    "convert": cmd_convert,
+    "eval": (
+        "evaluate the three coherence measures at one (q, nu) point",
+        ModelParams,
+        cmd_eval,
+    ),
+    "sweep": ("evaluate a (q, nu) grid and emit CSV", SweepSpec, cmd_sweep),
+    "verify": (
+        "scan a grid for triangle-inequality and cross-path violations",
+        _verify_inputs,
+        cmd_verify,
+    ),
+    "spectra": (
+        "print closed-form spectra beside eigensolver values",
+        ModelParams,
+        cmd_spectra,
+    ),
+    "convert": (
+        "map physical detector parameters to (q, nu^2)",
+        PhysicalParams,
+        cmd_convert,
+    ),
 }
 
 
 def main(argv=None):
     ns = parse_args(argv)
     try:
-        return _COMMANDS[ns.command](ns)
-    except CoherenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _COMMANDS[ns.command][2](ns)
+    except (CoherenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the positivity check."""
+"""Exception types shared across the package, and the sign checks."""
 
 
 class CoherenceError(ValueError):
@@ -29,4 +29,11 @@ def require_positive(name, value):
     """Return `value` if it is > 0; otherwise raise DomainError."""
     if not value > 0.0:
         raise DomainError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def require_non_negative(name, value):
+    """Return `value` if it is >= 0 (+inf included); otherwise raise DomainError."""
+    if not value >= 0.0:
+        raise DomainError(f"{name} must be non-negative, got {value!r}")
     return value

@@ -136,7 +136,7 @@ def _solve_block(m):
     return np.sort(np.diagonal(a).real, axis=-1)
 
 
-def hermitian_eigenvalues(matrix, tol=DEFAULT_TOL):
+def hermitian_eigenvalues(matrix):
     """Eigenvalues of Hermitian matrices by cyclic complex Jacobi.
 
     Each matrix is rotated directly (Golub & Van Loan, Matrix
@@ -158,9 +158,7 @@ def hermitian_eigenvalues(matrix, tol=DEFAULT_TOL):
     Parameters
     ----------
     matrix : ndarray, shape (..., d, d)
-        Hermitian (within `tol` in max-norm) complex or real matrices.
-    tol : float
-        Hermiticity tolerance.
+        Hermitian (within DEFAULT_TOL in max-norm) complex or real matrices.
 
     Returns
     -------
@@ -176,7 +174,7 @@ def hermitian_eigenvalues(matrix, tol=DEFAULT_TOL):
     defect = max(
         float(np.max(np.abs(b - np.conj(np.swapaxes(b, -1, -2))))) for b in blocks
     )
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise ValidationError(f"matrix is not Hermitian (defect {defect:.3e})")
     values = np.concatenate([_solve_block(b) for b in blocks])
     return values.reshape(batch_shape + (dim,))
@@ -210,15 +208,18 @@ def spectrum_entropy(values):
     return -np.sum(w * terms, axis=-1)
 
 
-def von_neumann_entropy(rho, tol=DEFAULT_TOL):
+def von_neumann_entropy(rho):
     """Base-2 von Neumann entropy of density matrices (batch aware)."""
-    return spectrum_entropy(check_unit_trace(hermitian_eigenvalues(rho, tol=tol), tol))
+    return spectrum_entropy(check_unit_trace(hermitian_eigenvalues(rho)))
 
 
-def check_unit_trace(values, tol=DEFAULT_TOL):
-    """Return spectra whose sums are 1 within `tol`; else ValidationError."""
+def check_unit_trace(values):
+    """Return spectra whose sums are 1 within DEFAULT_TOL; else ValidationError.
+
+    A NaN sum fails the check.
+    """
     trace_defect = float(np.max(np.abs(np.sum(values, axis=-1) - 1.0), initial=0.0))
-    if trace_defect > tol:
+    if not trace_defect <= DEFAULT_TOL:
         raise ValidationError(f"trace differs from 1 by {trace_defect:.3e}")
     return values
 

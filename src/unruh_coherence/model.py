@@ -39,7 +39,7 @@ from .coherence import (
     measures_from_spectra,
     numeric_spectra,
 )
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_non_negative, require_positive
 
 # Unused here since spectra come from `numeric_spectra`; kept bound because
 # perfbench's tracer test checks this module's binding of it.
@@ -106,13 +106,10 @@ class PhysicalParams:
 
     def __post_init__(self):
         require_positive("omega", self.omega)
-        if self.accel < 0.0 or math.isnan(self.accel):
-            raise DomainError(f"accel must be non-negative, got {self.accel!r}")
-        if self.eps < 0.0 or math.isnan(self.eps):
-            raise DomainError(f"eps must be non-negative, got {self.eps!r}")
+        require_non_negative("accel", self.accel)
+        require_non_negative("eps", self.eps)
         require_positive("delta", self.delta)
-        if self.kappa < 0.0 or math.isnan(self.kappa):
-            raise DomainError(f"kappa must be non-negative, got {self.kappa!r}")
+        require_non_negative("kappa", self.kappa)
 
     def validity_warnings(self):
         warnings = []
@@ -130,8 +127,7 @@ class PhysicalParams:
 def q_from_acceleration(omega, accel):
     """Thermal weight exp(-2*pi*omega/accel); zero acceleration gives 0."""
     require_positive("omega", omega)
-    if accel < 0.0 or math.isnan(accel):
-        raise DomainError(f"accel must be non-negative, got {accel!r}")
+    require_non_negative("accel", accel)
     if accel == 0.0:
         return 0.0
     return math.exp(-2.0 * math.pi * omega / accel)

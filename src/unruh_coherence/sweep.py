@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import coherence_components, measures_from_spectra, numeric_spectra
+from .coherence import (
+    CoherenceTriple,
+    coherence_components,
+    measures_from_spectra,
+    numeric_spectra,
+)
 from .errors import DomainError, ValidationError, require_positive
 
 # Unused here since spectra come from `numeric_spectra`; kept bound because
@@ -63,9 +68,8 @@ def format_value(x):
 class SweepSpec:
     """Rectangular grid specification; defaults give the standard grid.
 
-    With include_endpoints=False the upper endpoint of each axis is
-    dropped (numpy linspace semantics), which also avoids the removed
-    q=1, nu=0 corner.
+    Each axis runs from its min to its max inclusive.  The fields are
+    the `sweep` subcommand's flags.
     """
 
     q_min: float = 0.0
@@ -74,7 +78,6 @@ class SweepSpec:
     nu_min: float = 0.0
     nu_max: float = 1.0
     nu_steps: int = 101
-    include_endpoints: bool = True
 
     def __post_init__(self):
         for name, lo, hi in (
@@ -102,12 +105,8 @@ class SweepSpec:
     def axes(self):
         """The q and nu grids."""
         return (
-            np.linspace(
-                self.q_min, self.q_max, self.q_steps, endpoint=self.include_endpoints
-            ),
-            np.linspace(
-                self.nu_min, self.nu_max, self.nu_steps, endpoint=self.include_endpoints
-            ),
+            np.linspace(self.q_min, self.q_max, self.q_steps),
+            np.linspace(self.nu_min, self.nu_max, self.nu_steps),
         )
 
 
@@ -156,10 +155,9 @@ def sweep_arrays(spec):
     q, nu, notices = _flat_grid(spec)
     alpha, beta, gamma = alpha_beta_gamma(q, nu)
     measures = measures_from_spectra(closed_form_spectra(alpha, beta, gamma), 4)
-    total, collective, localized = measures
     numeric = coherence_components(detector_matrix(alpha, beta, gamma), (2, 2))
     path_gap = np.max(np.abs(np.subtract(measures, numeric)), axis=0)
-    slack = collective + localized - total
+    slack = CoherenceTriple.from_components(*measures).triangle_slack
     columns = (nu, q, alpha, beta, gamma, *measures, slack, path_gap)
     return dict(zip(CSV_FIELDS, columns)), notices
 

@@ -1,15 +1,20 @@
 """Black-box tests for the command line interface.
 
-Everything here goes through a real subprocess so that exit codes, stream
-separation, and argv handling are exercised exactly as a user would hit them.
+Almost everything here goes through a real subprocess so that exit codes,
+stream separation, and argv handling are exercised exactly as a user would
+hit them.  The surface tests at the end run in-process: they pin the flag
+table and the config-file route through `build_parser` and `cli.main`.
 """
 
+import argparse
 import math
 import shutil
 import subprocess
 import sys
 
 import pytest
+
+from unruh_coherence import cli
 
 BASE = [sys.executable, "-m", "unruh_coherence"]
 
@@ -445,3 +450,92 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "c_total" in proc.stdout
+
+
+# ----------------------------------------------------------------- surface
+
+# Each subcommand's options in parser order, as (flag, metavar).
+SURFACE = {
+    "eval": [("--q", "R"), ("--nu", "R"), ("--config", "PATH")],
+    "sweep": [
+        ("--q-min", "R"),
+        ("--q-max", "R"),
+        ("--q-steps", "N"),
+        ("--nu-min", "R"),
+        ("--nu-max", "R"),
+        ("--nu-steps", "N"),
+        ("--out", "PATH"),
+        ("--config", "PATH"),
+    ],
+    "verify": [("--grid", "N"), ("--tol", "R"), ("--config", "PATH")],
+    "spectra": [("--q", "R"), ("--nu", "R"), ("--config", "PATH")],
+    "convert": [
+        ("--omega", "R"),
+        ("--accel", "R"),
+        ("--eps", "R"),
+        ("--delta", "R"),
+        ("--kappa", "R"),
+        ("--config", "PATH"),
+    ],
+}
+
+
+def test_parser_flag_surface():
+    parser = cli.build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(subparsers.choices) == list(SURFACE)
+    for command, want in SURFACE.items():
+        got = [
+            (action.option_strings[0], action.metavar)
+            for action in subparsers.choices[command]._actions
+            if action.dest != "help"
+        ]
+        assert got == want, command
+
+
+# Every flag of each subcommand, with config-file keys written with '_'.
+EVERY_FLAG = {
+    "eval": {"q": "0.3", "nu": "0.7"},
+    "sweep": {
+        "q_min": "0.1",
+        "q_max": "1",
+        "q_steps": "3",
+        "nu_min": "0",
+        "nu_max": "0.5",
+        "nu_steps": "4",
+        "out": "sweep.csv",
+    },
+    "verify": {"grid": "5", "tol": "1e-9"},
+    "spectra": {"q": "0.3", "nu": "0.7"},
+    "convert": {
+        "omega": "1",
+        "accel": "2",
+        "eps": "0.1",
+        "delta": "20",
+        "kappa": "0.5",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(EVERY_FLAG))
+def test_config_file_matches_command_line(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    values = EVERY_FLAG[command]
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), "utf-8")
+    argv = [command]
+    for key, value in values.items():
+        argv += ["--" + key.replace("_", "-"), value]
+
+    runs = []
+    for args in ([command, "--config", str(cfg)], argv):
+        code = cli.main(args)
+        out = capsys.readouterr().out
+        if command == "sweep":
+            out = (tmp_path / "sweep.csv").read_text("utf-8")
+            (tmp_path / "sweep.csv").unlink()
+        runs.append((code, out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]

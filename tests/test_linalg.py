@@ -274,6 +274,11 @@ def test_entropy_trace_check():
         von_neumann_entropy(np.eye(4))  # trace 4
 
 
+def test_unit_trace_check_rejects_nan():
+    with pytest.raises(ValidationError, match="trace differs from 1 by nan"):
+        linalg.check_unit_trace(np.array([np.nan, 0.5]))
+
+
 @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_spectrum_entropy_bounds_property(raw):

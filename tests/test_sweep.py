@@ -40,12 +40,6 @@ def test_spec_defaults_match_standard_grid():
     assert nus[0] == 0.0 and nus[-1] == 1.0
 
 
-def test_spec_without_endpoints_drops_upper_edge():
-    spec = SweepSpec(q_steps=10, nu_steps=10, include_endpoints=False)
-    qs, nus = spec.axes()
-    assert qs[-1] < 1.0 and nus[-1] < 1.0
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
