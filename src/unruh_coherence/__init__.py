@@ -52,7 +52,6 @@ from .sweep import (
     SweepSpec,
     VerificationReport,
     find_min_c_total,
-    max_spectra_gap,
     run_sweep,
     verify_grid,
     verify_sweep,

@@ -32,9 +32,12 @@ DEFAULT_TOL = 1e-9
 # genuine positivity violation and raises.
 EIGENVALUE_CLIP_TOL = 1e-12
 
-# Jacobi sweep control: a matrix has converged once the Frobenius norm
-# of its off-diagonal part falls below _OFFDIAG_TOL.
-_OFFDIAG_TOL = 1e-13
+# Jacobi sweep control: a matrix has converged once every pivot is
+# negligible against its diagonal, |a_pq| <= _PIVOT_TOL*sqrt|a_pp|*sqrt|a_qq|.
+# The test is relative, so small eigenvalues come out to high relative
+# accuracy at any scale (Demmel & Veselic, SIAM J. Matrix Anal. Appl.
+# 13:1204, 1992).
+_PIVOT_TOL = 1e-15
 _MAX_SWEEPS = 100
 _TINY = np.finfo(float).tiny
 
@@ -53,17 +56,16 @@ def _as_square(m, name="matrix"):
     return m
 
 
-def _offdiagonal_norm(a):
-    """Frobenius norm of the off-diagonal part of each matrix of a (d, d, n) array.
+def _converged(a):
+    """Per matrix of a (d, d, n) array, whether every pivot is negligible.
 
-    Summed over the strict upper triangle, which the lower one mirrors
-    exactly, rather than found by subtracting norms, which would lose
-    all precision once the off-diagonal part is tiny.
+    The roots of the diagonal are taken apart, not as sqrt(|a_pp*a_qq|),
+    whose product underflows for diagonal entries below about 1e-162.
     """
-    upper = a[np.triu_indices(a.shape[0], 1)]
-    squares = np.einsum("kn,kn->n", upper.real, upper.real)
-    squares += np.einsum("kn,kn->n", upper.imag, upper.imag)
-    return np.sqrt(2.0 * squares)
+    dim = a.shape[0]
+    p, q = np.triu_indices(dim, 1)
+    root = np.sqrt(np.abs(a[range(dim), range(dim)].real))
+    return np.all(np.abs(a[p, q]) <= _PIVOT_TOL * root[p] * root[q], axis=0)
 
 
 def _jacobi_sweep(a):
@@ -119,18 +121,17 @@ def _solve_block(m):
     pending = np.arange(a.shape[-1])
     work = a
     for sweep in range(_MAX_SWEEPS + 1):
-        residual = _offdiagonal_norm(work)
-        active = ~(residual < _OFFDIAG_TOL)
-        if not np.all(active):
-            a[..., pending[~active]] = work[..., ~active]
-            pending, residual = pending[active], residual[active]
-            work = work[..., active]
+        done = _converged(work)
+        if np.any(done):
+            a[..., pending[done]] = work[..., done]
+            pending, work = pending[~done], work[..., ~done]
         if not pending.size:
             break
         if sweep == _MAX_SWEEPS:
+            residual = np.max(np.abs(work[np.triu_indices(work.shape[0], 1)]))
             raise ValidationError(
                 f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
-                f"(residual off-diagonal norm {float(np.max(residual)):.3e})"
+                f"(largest off-diagonal entry {float(residual):.3e})"
             )
         _jacobi_sweep(work)
     return np.sort(np.diagonal(a).real, axis=-1)
@@ -141,11 +142,12 @@ def hermitian_eigenvalues(matrix):
 
     Each matrix is rotated directly (Golub & Van Loan, Matrix
     Computations, section 8.5), with a unit phase per rotation that
-    makes the pivot real.  Convergence is tested per matrix: a sweep
-    touches only the matrices whose off-diagonal norm is still at least
-    _OFFDIAG_TOL, so a matrix's eigenvalues do not depend on the rest of
-    its batch.  A matrix still unconverged after _MAX_SWEEPS sweeps
-    raises ValidationError.
+    makes the pivot real.  Convergence is tested per matrix, relative
+    to its diagonal: a sweep touches only the matrices with a pivot
+    |a_pq| > _PIVOT_TOL*sqrt|a_pp|*sqrt|a_qq|, so a matrix's eigenvalues
+    do not depend on the rest of its batch, nor lose relative accuracy
+    when all its entries are small.  A matrix still unconverged after
+    _MAX_SWEEPS sweeps raises ValidationError.
 
     The batch is solved in blocks of _BLOCK matrices, each stored
     batch-last as a (d, d, n) array so that a rotation works on

@@ -65,18 +65,13 @@ def _coupling_warning(nu_squared):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless model point (q, nu), defined off the corner q=1, nu=0."""
+    """Dimensionless model point (q, nu); `alpha_beta_gamma` checks its domain."""
 
     q: float
     nu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.q) and 0.0 <= self.q <= 1.0):
-            raise DomainError(f"q must lie in [0, 1], got {self.q!r}")
-        if not (math.isfinite(self.nu) and self.nu >= 0.0):
-            raise DomainError(f"nu must be non-negative, got {self.nu!r}")
-        if self.q == 1.0 and self.nu == 0.0:
-            raise DomainError("state is undefined at q=1, nu=0")
+        alpha_beta_gamma(self.q, self.nu)
 
     @property
     def nu_squared(self):
@@ -110,6 +105,7 @@ class PhysicalParams:
         require_non_negative("eps", self.eps)
         require_positive("delta", self.delta)
         require_non_negative("kappa", self.kappa)
+        model_params_from_physical(self)
 
     def validity_warnings(self):
         warnings = []
@@ -134,35 +130,49 @@ def q_from_acceleration(omega, accel):
 
 
 def nu_squared_from_physical(params):
-    """Effective squared coupling for Gaussian switching."""
+    """Effective squared coupling for Gaussian switching.
+
+    Products, not `**`, so a square too large for a float gives inf (or
+    NaN against an exp that underflows to 0) instead of OverflowError.
+    """
     return (
-        params.eps ** 2
+        params.eps * params.eps
         * params.omega
         * params.delta
-        * math.exp(-(params.omega ** 2) * params.kappa ** 2)
+        * math.exp(-(params.omega * params.omega) * (params.kappa * params.kappa))
         / (2.0 * math.pi)
     )
 
 
 def model_params_from_physical(params):
-    """Collapse physical inputs to the dimensionless pair (q, nu)."""
+    """Collapse physical inputs to the dimensionless pair (q, nu).
+
+    Raises DomainError where nu^2 is not a finite float, or where the
+    pair is the undefined corner q=1, nu=0.
+    """
     q = q_from_acceleration(params.omega, params.accel)
-    nu = math.sqrt(nu_squared_from_physical(params))
-    return ModelParams(q=q, nu=nu)
+    nu_squared = nu_squared_from_physical(params)
+    if not math.isfinite(nu_squared):
+        raise DomainError(f"nu^2 is not a finite float, got {nu_squared!r}")
+    return ModelParams(q=q, nu=math.sqrt(nu_squared))
 
 
 def alpha_beta_gamma(q, nu):
     """Weights of the joint state; batch aware.
 
-    Raises DomainError outside 0 <= q <= 1, nu >= 0 or at the
-    degenerate corner q=1, nu=0.
+    This is the one check of the model's domain.  Raises DomainError,
+    naming the first value that fails, unless q is finite in [0, 1] and
+    nu finite and >= 0, or at the undefined corner q=1, nu=0.
     """
     q = np.asarray(q, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    if not np.all(np.isfinite(q)) or np.any(q < 0.0) or np.any(q > 1.0):
-        raise DomainError("q must lie in [0, 1]")
-    if not np.all(np.isfinite(nu)) or np.any(nu < 0.0):
-        raise DomainError("nu must be non-negative")
+    # The comparisons are False for NaN; each bound also rejects one inf.
+    bad_q = ~((q >= 0.0) & (q <= 1.0))
+    if np.any(bad_q):
+        raise DomainError(f"q must lie in [0, 1], got {float(q[bad_q][0])!r}")
+    bad_nu = ~((nu >= 0.0) & (nu < np.inf))
+    if np.any(bad_nu):
+        raise DomainError(f"nu must be non-negative, got {float(nu[bad_nu][0])!r}")
     if np.any((q == 1.0) & (nu == 0.0)):
         raise DomainError("state is undefined at q=1, nu=0")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -200,7 +210,6 @@ def detector_matrix(alpha, beta, gamma):
 class ModelPoint:
     """A model point with its weights and assembled state."""
 
-    params: ModelParams
     alpha: float
     beta: float
     gamma: float
@@ -211,7 +220,6 @@ def detector_state(params):
     """Build the ModelPoint for validated parameters."""
     alpha, beta, gamma = alpha_beta_gamma(params.q, params.nu)
     return ModelPoint(
-        params=params,
         alpha=float(alpha),
         beta=float(beta),
         gamma=float(gamma),

@@ -20,7 +20,6 @@ from .coherence import (
     CoherenceTriple,
     coherence_components,
     measures_from_spectra,
-    numeric_spectra,
 )
 from .errors import DomainError, ValidationError, require_positive
 
@@ -54,6 +53,8 @@ _CSV_ROW = ",".join(["%.12g"] * len(CSV_FIELDS)) + "\n"
 MONOTONE_TOL = 1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Width of the q bracket at which `find_min_c_total` stops.
+_FIND_MIN_XTOL = 1e-6
 
 
 def format_value(x):
@@ -199,15 +200,13 @@ class VerificationReport:
     passed: bool
 
 
-def verify_grid(spec=None, tol=1e-9):
+def verify_grid(spec, tol=1e-9):
     """Check the two hard invariants over a grid and summarise trends.
 
     Hard checks (decide `passed`): the triangle inequality holds to
     `tol`, and the closed-form and eigensolver routes agree to `tol`.
     Monotonicity fractions are reported but never asserted.
     """
-    if spec is None:
-        spec = SweepSpec()
     return verify_sweep(spec, sweep_arrays(spec)[0], tol)
 
 
@@ -234,40 +233,25 @@ def verify_sweep(spec, columns, tol=1e-9):
     )
 
 
-def max_spectra_gap(spec=None):
-    """Largest closed-form vs eigensolver spectrum gap over a grid."""
-    if spec is None:
-        spec = SweepSpec()
-    q, nu, _ = _flat_grid(spec)
-    alpha, beta, gamma = alpha_beta_gamma(q, nu)
-    closed = closed_form_spectra(alpha, beta, gamma)
-    numeric = numeric_spectra(detector_matrix(alpha, beta, gamma), (2, 2))
-    return max(
-        float(np.max(np.abs(numeric[name] - values))) for name, values in closed.items()
-    )
+def find_min_c_total(nu):
+    """Golden-section minimum of the total measure over q in [0, 1] at fixed nu.
 
-
-def find_min_c_total(nu, q_lo=0.0, q_hi=1.0, xtol=1e-6):
-    """Golden-section minimum of the total measure along fixed nu.
-
-    Returns (q_min, value).  Requires nu > 0 so the whole q interval is
-    defined; the landscape there is smooth with a single interior dip.
+    Returns (q_min, value), q_min to within _FIND_MIN_XTOL.  Requires
+    nu > 0 so the whole q interval is defined; the landscape there is
+    smooth with a single interior dip.
     """
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError(f"nu must be positive, got {nu!r}")
-    if not (0.0 <= q_lo < q_hi <= 1.0):
-        raise DomainError(f"need 0 <= q_lo < q_hi <= 1, got [{q_lo!r}, {q_hi!r}]")
-    require_positive("xtol", xtol)
 
     def f(q):
         return float(coherence_closed_form(q, nu).c_total)
 
-    lo, hi = q_lo, q_hi
+    lo, hi = 0.0, 1.0
     a = hi - _INV_PHI * (hi - lo)
     b = lo + _INV_PHI * (hi - lo)
     fa, fb = f(a), f(b)
     best_q, best_val = (a, fa) if fa <= fb else (b, fb)
-    while hi - lo > xtol:
+    while hi - lo > _FIND_MIN_XTOL:
         if fa <= fb:
             hi, b, fb = b, a, fa
             a = hi - _INV_PHI * (hi - lo)

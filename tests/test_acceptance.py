@@ -16,15 +16,18 @@ import pytest
 from unruh_coherence import (
     ModelParams,
     SweepSpec,
+    alpha_beta_gamma,
+    closed_form_spectra,
     coherence_closed_form,
     coherence_components,
     coherence_triple,
+    detector_matrix,
     detector_state,
     hermitian_eigenvalues,
-    max_spectra_gap,
     spectrum_entropy,
     verify_grid,
 )
+from unruh_coherence.coherence import numeric_spectra
 
 BASE = [sys.executable, "-m", "unruh_coherence"]
 
@@ -114,7 +117,13 @@ def test_criterion_2_infinite_acceleration_limit():
 
 def test_criterion_3_closed_form_matches_eigensolver():
     start = time.perf_counter()
-    spectra_gap = max_spectra_gap(SweepSpec())
+    qs, nus = SweepSpec().axes()
+    q, nu = (g.ravel() for g in np.meshgrid(qs, nus, indexing="ij"))
+    keep = ~((q == 1.0) & (nu == 0.0))
+    weights = alpha_beta_gamma(q[keep], nu[keep])
+    closed = closed_form_spectra(*weights)
+    numeric = numeric_spectra(detector_matrix(*weights), (2, 2))
+    spectra_gap = max(float(np.max(np.abs(numeric[k] - closed[k]))) for k in closed)
     report = verify_grid(SweepSpec())
     elapsed = time.perf_counter() - start
     assert spectra_gap <= 1e-10

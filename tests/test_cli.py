@@ -2,17 +2,22 @@
 
 Almost everything here goes through a real subprocess so that exit codes,
 stream separation, and argv handling are exercised exactly as a user would
-hit them.  The surface tests at the end run in-process: they pin the flag
-table and the config-file route through `build_parser` and `cli.main`.
+hit them.  The surface and fuzz tests at the end run in-process: they pin
+the flag table and the config-file route through `build_parser` and
+`cli.main`, and the exit-code contract over the whole float domain.
 """
 
 import argparse
+import contextlib
+import io
 import math
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unruh_coherence import cli
 
@@ -147,6 +152,20 @@ def test_eval_non_numeric_value_is_usage_error():
                 "--nu-min", "0", "--nu-max", "0", "--nu-steps", "1",
             ),
             "no defined point",
+        ),
+        (
+            (
+                "convert", "--omega", "1", "--accel", "1e308",
+                "--eps", "1e-200", "--delta", "1", "--kappa", "0",
+            ),
+            "state is undefined at q=1, nu=0",
+        ),
+        (
+            (
+                "convert", "--omega", "1", "--accel", "1",
+                "--eps", "1e100", "--delta", "1e200", "--kappa", "0",
+            ),
+            "nu^2 is not a finite float, got inf",
         ),
     ],
 )
@@ -426,6 +445,16 @@ def test_convert_zero_acceleration_and_coupling():
     assert float(block["nu_squared"]) == 0.0
 
 
+def test_convert_suppressed_coupling_is_zero():
+    # kappa^2 overflows a float, so the exp factor is 0
+    proc = run_cli(
+        "convert", "--omega", "1", "--accel", "0",
+        "--eps", "0.1", "--delta", "20", "--kappa", "1e200",
+    )
+    assert proc.returncode == 0
+    assert parse_block(proc.stdout) == {"q": "0", "nu_squared": "0"}
+
+
 def test_convert_rejects_nonpositive_omega():
     proc = run_cli(
         "convert", "--omega", "0", "--accel", "1",
@@ -539,3 +568,53 @@ def test_config_file_matches_command_line(command, tmp_path, monkeypatch, capsys
         runs.append((code, out))
     assert runs[0] == runs[1]
     assert runs[0][0] == 0 and runs[0][1]
+
+
+# -------------------------------------------------------------------- fuzz
+
+# Floats of every magnitude and sign, values in the usual ranges, the
+# domains' edges, and the non-finite values the CLI must refuse.
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.floats(0.0, 10.0),
+    st.sampled_from([0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, sys.float_info.max]),
+)
+# Grids of at most 5 steps a side keep each call cheap.
+SMALL_INT = st.integers(-1, 5)
+
+
+def _non_finite_numbers(text):
+    found = []
+    for token in re.split(r"[\s,=]+", text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            found.append(token)
+    return found
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_flags_keep_the_exit_contract(command, data):
+    # Every flag of the subcommand (sweep writes to stdout), each as
+    # --flag=value so that negative numbers stay values.
+    argv = [command]
+    for flag, kind in cli._flags(command).items():
+        if flag != "out":
+            value = data.draw(SMALL_INT if kind is int else ANY_FLOAT, label=flag)
+            argv.append(f"--{flag}={value!r}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # usage errors exit through argparse
+            code = exc.code
+    stdout = out.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert stdout and not _non_finite_numbers(stdout)
+    elif not (command == "verify" and code == 1):  # the failed report
+        assert stdout == ""

@@ -31,6 +31,14 @@ def test_rank_one_block():
     assert hermitian_eigenvalues(m) == pytest.approx([0.0, 0.6], abs=1e-14)
 
 
+@pytest.mark.parametrize("scale", [1e-14, 1e-300])
+def test_rank_one_block_keeps_relative_accuracy_at_small_scale(scale):
+    # the stopping test is relative to the diagonal, so a matrix whose
+    # entries are all tiny is still rotated
+    m = scale * np.array([[1.0, 1.0], [1.0, 1.0]])
+    assert hermitian_eigenvalues(m) == pytest.approx([0.0, 2.0 * scale], rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
 def test_eigenvalues_match_char_poly_oracle(dim):
     rng = np.random.default_rng(SEED + dim)

@@ -151,6 +151,11 @@ def test_model_params_validation():
         ModelParams(q=0.5, nu=-0.1)
     with pytest.raises(DomainError):
         ModelParams(q=float("inf"), nu=0.1)
+    # one check serves both: a batch error names its first failing value
+    with pytest.raises(DomainError, match=r"q must lie in \[0, 1\], got 1\.5$"):
+        alpha_beta_gamma([0.2, 1.5, -1.0], 0.1)
+    with pytest.raises(DomainError, match="nu must be non-negative, got nan$"):
+        alpha_beta_gamma(0.2, [0.1, float("nan"), -1.0])
 
 
 def test_model_params_coupling_warning():
@@ -213,6 +218,9 @@ def test_nu_squared_examples():
         omega=1.0, accel=0.0, eps=0.1, delta=100.0, kappa=float("inf")
     )
     assert nu_squared_from_physical(suppressed) == 0.0
+    # kappa^2 overflows a float; the coupling is still suppressed to 0
+    overflowing = PhysicalParams(omega=1.0, accel=0.0, eps=0.1, delta=20.0, kappa=1e200)
+    assert nu_squared_from_physical(overflowing) == 0.0
 
 
 def test_physical_params_validation_and_warnings():
@@ -222,6 +230,13 @@ def test_physical_params_validation_and_warnings():
         PhysicalParams(omega=1.0, accel=-1.0, eps=0.1, delta=1.0, kappa=0.0)
     with pytest.raises(DomainError):
         PhysicalParams(omega=1.0, accel=1.0, eps=0.1, delta=0.0, kappa=0.0)
+    # the mapped point is checked too: the corner, and an unrepresentable nu^2
+    with pytest.raises(DomainError, match="undefined at q=1, nu=0"):
+        PhysicalParams(omega=1.0, accel=1e308, eps=1e-200, delta=1.0, kappa=0.0)
+    with pytest.raises(DomainError, match=r"nu\^2 is not a finite float, got inf"):
+        PhysicalParams(omega=1.0, accel=1.0, eps=1e100, delta=1e200, kappa=0.0)
+    with pytest.raises(DomainError, match=r"nu\^2 is not a finite float, got nan"):
+        PhysicalParams(omega=1.0, accel=1.0, eps=1e200, delta=1.0, kappa=30.0)
     short_window = PhysicalParams(omega=1.0, accel=1.0, eps=0.01, delta=2.0, kappa=0.0)
     assert any("omega*delta" in w for w in short_window.validity_warnings())
     strong = PhysicalParams(omega=1.0, accel=1.0, eps=0.1, delta=100.0, kappa=0.0)

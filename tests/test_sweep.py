@@ -13,7 +13,6 @@ from unruh_coherence import (
     ValidationError,
     coherence_closed_form,
     find_min_c_total,
-    max_spectra_gap,
     run_sweep,
     verify_grid,
     write_csv,
@@ -189,12 +188,18 @@ def test_verify_small_grid_passes():
 
 @pytest.mark.parametrize(
     "spec",
-    [SweepSpec(), SweepSpec(q_min=0.99, nu_max=1e-3)],
-    ids=["default", "corner"],
+    [
+        SweepSpec(),
+        SweepSpec(q_min=0.99, nu_max=1e-3),
+        SweepSpec(q_max=1e-9, q_steps=5, nu_min=1e6, nu_max=1e9, nu_steps=7),
+    ],
+    ids=["default", "corner", "near-00"],
 )
 def test_path_gap_is_only_the_spectra_gap(spec):
     # both routes assemble the measures with the same arithmetic, so the
-    # gap is eigensolver round-off in the spectra, not in the formula
+    # gap is eigensolver round-off in the spectra, not in the formula.
+    # Near |00> (q ~ 0, nu large) the coherent 2x2 block is below 1e-13,
+    # so it needs a stopping test relative to the matrix's scale.
     assert verify_grid(spec).max_path_gap <= 1e-13
 
 
@@ -214,10 +219,6 @@ def test_verify_unreachable_tolerance_fails():
     assert not report.passed
 
 
-def test_max_spectra_gap_small_grid():
-    assert max_spectra_gap(SMALL) <= 1e-10
-
-
 # ------------------------------------------------------------------ extremum
 
 
@@ -232,27 +233,8 @@ def test_find_min_matches_dense_scan():
         assert value > 0.0
 
 
-def test_find_min_respects_bracket():
-    q_star, value = find_min_c_total(0.5, q_lo=0.0, q_hi=0.3)
-    assert 0.0 <= q_star <= 0.3
-    # the true minimum for nu=0.5 sits near q=0.88, so the bracket binds
-    assert q_star == pytest.approx(0.3, abs=1e-3)
-    assert value == pytest.approx(float(coherence_closed_form(q_star, 0.5).c_total), abs=1e-9)
-
-
-def test_find_min_collapsed_window_returns_endpoint():
-    q_star, _ = find_min_c_total(0.5, q_lo=0.5, q_hi=0.5 + 1e-9)
-    assert q_star == pytest.approx(0.5, abs=1e-8)
-
-
 def test_find_min_domain_errors():
     with pytest.raises(DomainError):
         find_min_c_total(0.0)
     with pytest.raises(DomainError):
         find_min_c_total(-0.1)
-    with pytest.raises(DomainError):
-        find_min_c_total(0.5, q_lo=0.8, q_hi=0.2)
-    with pytest.raises(DomainError):
-        find_min_c_total(0.5, q_lo=0.0, q_hi=1.5)
-    with pytest.raises(DomainError):
-        find_min_c_total(0.5, xtol=0.0)
