@@ -47,7 +47,6 @@ from .model import (
     spectra_comparison,
 )
 from .sweep import (
-    SweepRecord,
     SweepResult,
     SweepSpec,
     VerificationReport,

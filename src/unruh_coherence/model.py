@@ -132,16 +132,22 @@ def q_from_acceleration(omega, accel):
 def nu_squared_from_physical(params):
     """Effective squared coupling for Gaussian switching.
 
-    Products, not `**`, so a square too large for a float gives inf (or
-    NaN against an exp that underflows to 0) instead of OverflowError.
+    The direct product where it is finite; where a square overflows,
+    the exp of its log, which is inf only beyond the float range.
     """
-    return (
-        params.eps * params.eps
-        * params.omega
-        * params.delta
-        * math.exp(-(params.omega * params.omega) * (params.kappa * params.kappa))
-        / (2.0 * math.pi)
-    )
+    eps, omega, delta, kappa = params.eps, params.omega, params.delta, params.kappa
+    if eps == 0.0:
+        return 0.0
+    exponent = -(omega * omega) * (kappa * kappa)
+    direct = eps * eps * omega * delta * math.exp(exponent) / (2.0 * math.pi)
+    if math.isfinite(direct):
+        return direct
+    log = 2.0 * math.log(eps) + math.log(omega) + math.log(delta)
+    log -= (omega * kappa) * (omega * kappa) + math.log(2.0 * math.pi)
+    try:
+        return math.exp(log)
+    except OverflowError:
+        return math.inf
 
 
 def model_params_from_physical(params):

@@ -2,16 +2,16 @@
 
 A sweep walks a rectangular (q, nu) grid, evaluates the three coherence
 measures along both the closed-form route and the generic eigensolver
-route, and records their disagreement per point.  Each point is a
-SweepRecord, a namedtuple whose fields are the CSV columns, so a record
-is its CSV row.  Grid order is fixed: q is the outer loop, nu the inner
-one, both ascending, so output files are byte-identical across runs.
+route, and records their disagreement per point.  A sweep is a NumPy
+record array whose fields are the CSV columns: `records.c_total` is a
+column and `records[k]` is the CSV row of point k.  Grid order is fixed:
+q is the outer loop, nu the inner one, both ascending, so output files
+are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,21 +105,18 @@ class SweepSpec:
 
     def axes(self):
         """The q and nu grids."""
-        return (
-            np.linspace(self.q_min, self.q_max, self.q_steps),
-            np.linspace(self.nu_min, self.nu_max, self.nu_steps),
-        )
-
-
-# One grid point, field for field the CSV row: weights, closed-form
-# measures, and `path_gap`, the largest absolute disagreement with the
-# eigensolver route across the three measures.
-SweepRecord = namedtuple("SweepRecord", CSV_FIELDS)
+        # Near the float maximum linspace's step times index can overflow;
+        # it then sets the last point to the stop, so the grid is right.
+        with np.errstate(over="ignore"):
+            return (
+                np.linspace(self.q_min, self.q_max, self.q_steps),
+                np.linspace(self.nu_min, self.nu_max, self.nu_steps),
+            )
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    records: tuple
+    records: np.recarray
     notices: tuple
 
 
@@ -145,10 +142,11 @@ def _flat_grid(spec):
 
 
 def sweep_arrays(spec):
-    """Vectorised sweep; returns a dict of flat arrays plus notices.
+    """Vectorised sweep; returns (records, notices).
 
-    Keys are CSV_FIELDS, in order.  The coherence columns come from the
-    closed-form spectra; `path_gap` is the largest absolute disagreement
+    `records` is a record array with one row per kept point in grid
+    order and the fields CSV_FIELDS: weights, closed-form measures,
+    triangle slack and `path_gap`, the largest absolute disagreement
     with the eigensolver route across the three measures per point.
     Both routes go through `measures_from_spectra`, so the gap measures
     only how far their spectra differ.
@@ -160,21 +158,19 @@ def sweep_arrays(spec):
     path_gap = np.max(np.abs(np.subtract(measures, numeric)), axis=0)
     slack = CoherenceTriple.from_components(*measures).triangle_slack
     columns = (nu, q, alpha, beta, gamma, *measures, slack, path_gap)
-    return dict(zip(CSV_FIELDS, columns)), notices
+    return np.rec.fromarrays(columns, names=CSV_FIELDS), notices
 
 
 def run_sweep(spec):
-    """Sweep the grid and return one SweepRecord per point, in canonical order."""
-    data, notices = sweep_arrays(spec)
-    rows = zip(*(data[name].tolist() for name in CSV_FIELDS))
-    return SweepResult(records=tuple(map(SweepRecord._make, rows)), notices=notices)
+    """Sweep the grid; `.records` is the record array of `sweep_arrays`."""
+    return SweepResult(*sweep_arrays(spec))
 
 
 def write_csv(records, stream):
-    """Write records with the canonical header, '\\n' endings, 12 digits."""
+    """Write a sweep's record array: canonical header, '\\n' endings, 12 digits."""
     stream.write(CSV_HEADER + "\n")
     # Adding 0.0 turns -0.0 into 0.0, as format_value does.
-    columns = [(np.array(column) + 0.0).tolist() for column in zip(*records)]
+    columns = [(records[name] + 0.0).tolist() for name in CSV_FIELDS]
     stream.writelines(_CSV_ROW % row for row in zip(*columns))
 
 
@@ -210,23 +206,20 @@ def verify_grid(spec, tol=1e-9):
     return verify_sweep(spec, sweep_arrays(spec)[0], tol)
 
 
-def verify_sweep(spec, columns, tol=1e-9):
-    """The `verify_grid` report from the columns of one sweep of `spec`.
-
-    `columns` maps c_total, triangle_slack and path_gap to flat arrays in
-    grid order, as `sweep_arrays` returns them.
-    """
+def verify_sweep(spec, records, tol=1e-9):
+    """The `verify_grid` report from `records`, the record array of one
+    sweep of `spec` (`run_sweep(spec).records`)."""
     require_positive("tol", tol)
     keep = _defined(*spec.axes())
     grid = np.full(keep.shape, np.nan)
-    grid[keep] = columns["c_total"]
-    max_violation = float(np.max(-columns["triangle_slack"]))
-    max_gap = float(np.max(columns["path_gap"]))
+    grid[keep] = records["c_total"]
+    max_violation = float(np.max(-records["triangle_slack"]))
+    max_gap = float(np.max(records["path_gap"]))
     return VerificationReport(
         points_checked=int(np.count_nonzero(keep)),
         max_triangle_violation=max_violation,
         max_path_gap=max_gap,
-        min_c_total=float(np.min(columns["c_total"])),
+        min_c_total=float(np.min(records["c_total"])),
         monotonic_fraction_in_nu=_monotone_fraction(grid, axis=1),
         monotonic_fraction_in_q=_monotone_fraction(grid, axis=0),
         passed=bool(max_violation <= tol and max_gap <= tol),

@@ -344,6 +344,17 @@ def test_sweep_zero_steps_is_usage_error():
     assert proc.returncode == 2
 
 
+def test_sweep_axis_near_float_max_prints_no_warning():
+    # linspace's step times index overflows on this nu axis
+    proc = run_cli(
+        "sweep", "--q-min", "0", "--q-max", "1e-200", "--q-steps", "2",
+        "--nu-min", "1e9", "--nu-max", "1.7976931348623157e308", "--nu-steps", "4",
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1].startswith("1.79769313486e+308,1e-200,")
+
+
 def test_sweep_unwritable_out_is_runtime_error(tmp_path):
     proc = run_cli("sweep", *SWEEP_FLAGS, "--out", str(tmp_path / "no" / "dir.csv"))
     assert proc.returncode == 1
@@ -453,6 +464,16 @@ def test_convert_suppressed_coupling_is_zero():
     )
     assert proc.returncode == 0
     assert parse_block(proc.stdout) == {"q": "0", "nu_squared": "0"}
+
+
+def test_convert_finite_coupling_past_an_overflowing_square():
+    # omega^2 underflows and kappa^2 overflows; omega*kappa = 1
+    proc = run_cli(
+        "convert", "--omega", "1e-200", "--accel", "1",
+        "--eps", "0.1", "--delta", "1", "--kappa", "1e200",
+    )
+    assert proc.returncode == 0
+    assert parse_block(proc.stdout) == {"q": "1", "nu_squared": "5.85498315243e-204"}
 
 
 def test_convert_rejects_nonpositive_omega():

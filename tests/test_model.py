@@ -221,6 +221,24 @@ def test_nu_squared_examples():
     # kappa^2 overflows a float; the coupling is still suppressed to 0
     overflowing = PhysicalParams(omega=1.0, accel=0.0, eps=0.1, delta=20.0, kappa=1e200)
     assert nu_squared_from_physical(overflowing) == 0.0
+    # omega^2 underflows and kappa^2 overflows, so the exp factor is NaN
+    uncoupled = PhysicalParams(omega=1e-200, accel=1e-200, eps=0.0, delta=1.0, kappa=1e200)
+    assert nu_squared_from_physical(uncoupled) == 0.0
+
+
+# Where the direct product overflows or is NaN, nu^2 comes from its log.
+# Truth from 50-digit mpmath; all at accel=1, delta=1.
+@pytest.mark.parametrize(
+    "omega, eps, kappa, want",
+    [
+        (1e-200, 0.1, 1e200, 5.85498315243e-204),  # exponent -1: 0 * inf
+        (1.0, 1e200, 30.0, 2.17163293084e8),  # eps^2 = inf against exp = 0
+        (1.0, 1e200, 20.0, 3.04808708176e225),  # eps^2 = inf, exp finite
+    ],
+)
+def test_nu_squared_falls_back_to_log_space(omega, eps, kappa, want):
+    phys = PhysicalParams(omega=omega, accel=1.0, eps=eps, delta=1.0, kappa=kappa)
+    assert nu_squared_from_physical(phys) == pytest.approx(want, rel=1e-11)
 
 
 def test_physical_params_validation_and_warnings():
@@ -236,7 +254,7 @@ def test_physical_params_validation_and_warnings():
     with pytest.raises(DomainError, match=r"nu\^2 is not a finite float, got inf"):
         PhysicalParams(omega=1.0, accel=1.0, eps=1e100, delta=1e200, kappa=0.0)
     with pytest.raises(DomainError, match=r"nu\^2 is not a finite float, got nan"):
-        PhysicalParams(omega=1.0, accel=1.0, eps=1e200, delta=1.0, kappa=30.0)
+        PhysicalParams(omega=float("inf"), accel=1.0, eps=0.1, delta=1.0, kappa=0.0)
     short_window = PhysicalParams(omega=1.0, accel=1.0, eps=0.01, delta=2.0, kappa=0.0)
     assert any("omega*delta" in w for w in short_window.validity_warnings())
     strong = PhysicalParams(omega=1.0, accel=1.0, eps=0.1, delta=100.0, kappa=0.0)

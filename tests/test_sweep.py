@@ -8,13 +8,13 @@ import pytest
 
 from unruh_coherence import (
     DomainError,
-    SweepRecord,
     SweepSpec,
     ValidationError,
     coherence_closed_form,
     find_min_c_total,
     run_sweep,
     verify_grid,
+    verify_sweep,
     write_csv,
 )
 from unruh_coherence.sweep import CSV_FIELDS, CSV_HEADER, format_value
@@ -113,6 +113,23 @@ def test_sweep_matches_pointwise_evaluation():
         assert record.c_localized == pytest.approx(float(triple.c_localized), abs=1e-15)
 
 
+def test_records_are_columns_and_rows():
+    records = run_sweep(SMALL).records
+    assert records.dtype.names == CSV_FIELDS
+    assert isinstance(records.c_total, np.ndarray)
+    assert records.c_total.tolist() == [float(r.c_total) for r in records]
+    assert records[3].tolist() == tuple(records[name][3] for name in CSV_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SMALL, SweepSpec(q_min=0.99, q_max=1.0, q_steps=11, nu_max=1e-3, nu_steps=11)],
+    ids=["small", "corner"],
+)
+def test_verify_sweep_of_the_records_is_verify_grid(spec):
+    assert verify_sweep(spec, run_sweep(spec).records) == verify_grid(spec)
+
+
 # ----------------------------------------------------------------------- CSV
 
 
@@ -161,7 +178,7 @@ def test_csv_without_path_gap_matches_reference_digest(steps):
 
 def test_csv_prints_negative_zero_as_zero():
     buf = io.StringIO()
-    write_csv([SweepRecord(*[-0.0] * len(CSV_FIELDS))], buf)
+    write_csv(np.rec.fromarrays([[-0.0]] * len(CSV_FIELDS), names=CSV_FIELDS), buf)
     zeros = ",".join(["0"] * len(CSV_FIELDS))
     assert buf.getvalue() == CSV_HEADER + "\n" + zeros + "\n"
 
