@@ -11,7 +11,6 @@ from .coherence import (
     CoherenceTriple,
     coherence_components,
     coherence_triple,
-    divergence_sqrt,
     measures_from_spectra,
     product_surrogate,
 )
@@ -30,7 +29,6 @@ from .linalg import (
     partial_trace,
     spectrum_entropy,
     tensor_product,
-    von_neumann_entropy,
 )
 from .model import (
     ModelParams,

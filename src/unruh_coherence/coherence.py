@@ -33,7 +33,6 @@ from .linalg import (
     partial_trace,
     spectrum_entropy,
     tensor_product,
-    von_neumann_entropy,
 )
 
 # A squared divergence in [-RADICAND_TOL, 0) is round-off and clips to
@@ -51,17 +50,6 @@ def sqrt_clipped(radicand):
             f"negative squared divergence {low:.6e} exceeds round-off tolerance"
         )
     return np.sqrt(np.where(rad < 0.0, 0.0, rad))
-
-
-def divergence_sqrt(rho, sigma):
-    """Square-root entropic divergence between two density matrices."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    mid = equal_mixture(rho, sigma)
-    radicand = von_neumann_entropy(mid) - 0.5 * (
-        von_neumann_entropy(rho) + von_neumann_entropy(sigma)
-    )
-    return sqrt_clipped(radicand)
 
 
 def _reductions(rho, dims):
@@ -176,8 +164,7 @@ def coherence_components(rho, dims):
     The spectra come from `numeric_spectra`, so a state costs two
     eigensolves at full dimension plus one per factor reduction, and the
     three measures are evaluated on identical spectra.  The state's unit
-    trace is checked on its own spectrum, with the tolerance of
-    `von_neumann_entropy`.
+    trace is checked on its own spectrum by `check_unit_trace`.
 
     Returns
     -------

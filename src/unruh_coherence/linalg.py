@@ -210,11 +210,6 @@ def spectrum_entropy(values):
     return -np.sum(w * terms, axis=-1)
 
 
-def von_neumann_entropy(rho):
-    """Base-2 von Neumann entropy of density matrices (batch aware)."""
-    return spectrum_entropy(check_unit_trace(hermitian_eigenvalues(rho)))
-
-
 def check_unit_trace(values):
     """Return spectra whose sums are 1 within DEFAULT_TOL; else ValidationError.
 

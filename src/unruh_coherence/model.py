@@ -29,7 +29,10 @@ package's main internal cross-check.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -132,15 +135,18 @@ def q_from_acceleration(omega, accel):
 def nu_squared_from_physical(params):
     """Effective squared coupling for Gaussian switching.
 
-    The direct product where it is finite; where a square overflows,
+    The direct product where it is finite and the exp factor and every
+    partial product are normal floats.  Elsewhere, where a square
+    overflows or a factor underflows before the others can lift it,
     the exp of its log, which is inf only beyond the float range.
     """
     eps, omega, delta, kappa = params.eps, params.omega, params.delta, params.kappa
     if eps == 0.0:
         return 0.0
-    exponent = -(omega * omega) * (kappa * kappa)
-    direct = eps * eps * omega * delta * math.exp(exponent) / (2.0 * math.pi)
-    if math.isfinite(direct):
+    factor = math.exp(-(omega * omega) * (kappa * kappa))
+    partials = list(accumulate((eps * eps, omega, delta, factor), operator.mul))
+    direct = partials[-1] / (2.0 * math.pi)
+    if math.isfinite(direct) and min(factor, *partials, direct) >= sys.float_info.min:
         return direct
     log = 2.0 * math.log(eps) + math.log(omega) + math.log(delta)
     log -= (omega * kappa) * (omega * kappa) + math.log(2.0 * math.pi)

@@ -46,23 +46,23 @@ CSV_FIELDS = (
     "path_gap",
 )
 CSV_HEADER = ",".join(CSV_FIELDS)
-# One CSV row; "%.12g" renders a float as format_value does, bar -0.0.
-_CSV_ROW = ",".join(["%.12g"] * len(CSV_FIELDS)) + "\n"
+# The 12-significant-digit rendering of every value printed, and one
+# CSV row of it.  Adding 0.0 to a value first turns -0.0 into 0.0.
+_FMT = "%.12g"
+_CSV_ROW = ",".join([_FMT] * len(CSV_FIELDS)) + "\n"
 
 # Slope comparisons on grid rows/columns treat |diff| <= this as flat.
 MONOTONE_TOL = 1e-12
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Width of the q bracket at which `find_min_c_total` stops.
-_FIND_MIN_XTOL = 1e-6
+# `find_min_c_total` scans this many evenly spaced q per round, and each
+# round narrows the bracket to the two cells beside the smallest value.
+_SCAN_POINTS = 1001
+_SCAN_ROUNDS = 5
 
 
 def format_value(x):
     """Canonical 12-significant-digit rendering used in all text output."""
-    v = float(x)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return format(v, ".12g")
+    return _FMT % (float(x) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def run_sweep(spec):
 def write_csv(records, stream):
     """Write a sweep's record array: canonical header, '\\n' endings, 12 digits."""
     stream.write(CSV_HEADER + "\n")
-    # Adding 0.0 turns -0.0 into 0.0, as format_value does.
+    # Adding 0.0 turns -0.0 into 0.0, as in format_value.
     columns = [(records[name] + 0.0).tolist() for name in CSV_FIELDS]
     stream.writelines(_CSV_ROW % row for row in zip(*columns))
 
@@ -227,33 +227,21 @@ def verify_sweep(spec, records, tol=1e-9):
 
 
 def find_min_c_total(nu):
-    """Golden-section minimum of the total measure over q in [0, 1] at fixed nu.
+    """Minimum of the total measure over q in [0, 1] at fixed nu.
 
-    Returns (q_min, value), q_min to within _FIND_MIN_XTOL.  Requires
-    nu > 0 so the whole q interval is defined; the landscape there is
-    smooth with a single interior dip.
+    Returns (q_min, value).  A vectorised scan-and-refine: evaluate
+    _SCAN_POINTS evenly spaced q, keep the two cells beside the smallest
+    value, and repeat, _SCAN_ROUNDS times in all, down to a spacing of
+    about 2e-14.  For small nu the dip sits within about nu^2/2 of q = 1,
+    which the narrowing brackets follow, so the search resolves it down
+    to nu = 1e-5.  Requires nu > 0 so the whole q interval is defined.
     """
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError(f"nu must be positive, got {nu!r}")
-
-    def f(q):
-        return float(coherence_closed_form(q, nu).c_total)
-
     lo, hi = 0.0, 1.0
-    a = hi - _INV_PHI * (hi - lo)
-    b = lo + _INV_PHI * (hi - lo)
-    fa, fb = f(a), f(b)
-    best_q, best_val = (a, fa) if fa <= fb else (b, fb)
-    while hi - lo > _FIND_MIN_XTOL:
-        if fa <= fb:
-            hi, b, fb = b, a, fa
-            a = hi - _INV_PHI * (hi - lo)
-            fa = f(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + _INV_PHI * (hi - lo)
-            fb = f(b)
-        for qq, vv in ((a, fa), (b, fb)):
-            if vv < best_val:
-                best_q, best_val = qq, vv
-    return best_q, best_val
+    for _ in range(_SCAN_ROUNDS):
+        q = np.linspace(lo, hi, _SCAN_POINTS)
+        values = coherence_closed_form(q, nu).c_total
+        k = int(np.argmin(values))
+        lo, hi = q[max(k - 1, 0)], q[min(k + 1, _SCAN_POINTS - 1)]
+    return float(q[k]), float(values[k])

@@ -51,6 +51,24 @@ def divergence_ref(a, b):
     return math.sqrt(max(rad, 0.0))
 
 
+def c_total_ref(q, nu):
+    """The model's total coherence, written out from its weights.
+
+    The state's spectrum is {0, 2*alpha, beta, gamma}; its mixture with
+    I/4 has spectrum (p + 1/4)/2, and S(I/4) = 2 bits.
+    """
+    q = np.asarray(q, dtype=float)
+    nu2 = nu * nu
+    den = 2.0 * (1.0 - q) + nu2 * (1.0 + q)
+    weights = (0.0, 2.0 * (1.0 - q) / den, nu2 * q / den, nu2 / den)
+    p = np.stack(np.broadcast_arrays(*weights))
+
+    def bits(w):
+        return -np.sum(w * np.log2(np.where(w > 0.0, w, 1.0)), axis=0)
+
+    return np.sqrt(np.maximum(bits(0.5 * (p + 0.25)) - 0.5 * bits(p) - 1.0, 0.0))
+
+
 def reduce_explicit(rho, keep, dims):
     """Partial trace by explicit summation over composite indices."""
     rho = np.asarray(rho, dtype=complex)

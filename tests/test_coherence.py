@@ -3,7 +3,6 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import oracles
 from unruh_coherence import (
@@ -13,11 +12,16 @@ from unruh_coherence import (
     ValidationError,
     coherence_components,
     coherence_triple,
-    divergence_sqrt,
+    measures_from_spectra,
     product_surrogate,
 )
 from unruh_coherence import coherence
-from unruh_coherence.coherence import numeric_spectra, reference_states, sqrt_clipped
+from unruh_coherence.coherence import (
+    family_spectra,
+    numeric_spectra,
+    reference_states,
+    sqrt_clipped,
+)
 from unruh_coherence.linalg import hermitian_eigenvalues
 
 SEED = 20240812
@@ -38,52 +42,32 @@ def q0nu1_state():
     return rho
 
 
-# ------------------------------------------------------------ divergence_sqrt
+# ----------------------------------------------------------------- divergence
+# measures_from_spectra is the one place the divergence is written.
 
 
 def test_divergence_of_identical_states_is_zero():
+    # a state against itself: equal state, product and mixture spectra
+    # give collective = 0, and the uniform spectrum gives total = 0
     rng = np.random.default_rng(SEED)
-    rho = oracles.random_density(rng, 4)
-    assert float(divergence_sqrt(rho, rho)) <= 1e-12
-
-
-def test_divergence_orthogonal_pure_states():
-    assert float(
-        divergence_sqrt(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    ) == pytest.approx(1.0, abs=1e-12)
+    p = np.sort(rng.dirichlet(np.ones(4), size=10), axis=-1)
+    p[0] = 0.25
+    total, collective, _ = measures_from_spectra(family_spectra(p, p, p, 4), 4)
+    assert np.all(collective == 0.0)
+    assert total[0] == 0.0
 
 
 def test_divergence_singlet_vs_mixed_matches_expression():
-    got = float(divergence_sqrt(oracles.singlet_state(), np.eye(4) / 4.0))
+    got = float(coherence_components(oracles.singlet_state(), (2, 2))[0])
     assert got == pytest.approx(SINGLET_COHERENCE, abs=1e-12)
     expression = math.sqrt(0.125 - 0.625 * math.log2(0.625))
     assert got == pytest.approx(expression, abs=1e-12)
 
 
 def test_divergence_dimension_mismatch():
+    # the state and its product of reductions must share a dimension
     with pytest.raises(DimensionError):
-        divergence_sqrt(np.eye(2) / 2.0, np.eye(4) / 4.0)
-
-
-def test_divergence_agrees_with_oracle_on_random_pairs():
-    rng = np.random.default_rng(SEED + 1)
-    for _ in range(100):
-        a = oracles.random_density(rng, 4)
-        b = oracles.random_density(rng, 4)
-        assert float(divergence_sqrt(a, b)) == pytest.approx(
-            oracles.divergence_ref(a, b), abs=1e-9
-        )
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_divergence_symmetric_property(seed):
-    rng = np.random.default_rng(seed)
-    a = oracles.random_density(rng, 4)
-    b = oracles.random_density(rng, 4)
-    assert float(divergence_sqrt(a, b)) == pytest.approx(
-        float(divergence_sqrt(b, a)), abs=1e-12
-    )
+        coherence_components(np.eye(4) / 4.0, (2, 3))
 
 
 def test_sqrt_clipped_policy():
@@ -217,13 +201,15 @@ def test_components_match_individual_measures():
     product = product_surrogate(rho, (2, 2))
     mixed = np.eye(4) / 4.0
     got = coherence_components(rho, (2, 2))
-    expected = (
-        divergence_sqrt(rho, mixed),
-        divergence_sqrt(rho, product),
-        divergence_sqrt(product, mixed),
-    )
-    for values, reference in zip(got, expected):
-        np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
+    for k in range(len(rho)):
+        expected = (
+            oracles.divergence_ref(rho[k], mixed),
+            oracles.divergence_ref(rho[k], product[k]),
+            oracles.divergence_ref(product[k], mixed),
+        )
+        np.testing.assert_allclose(
+            [values[k] for values in got], expected, rtol=0.0, atol=1e-12
+        )
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])

@@ -16,7 +16,6 @@ from unruh_coherence import (
     partial_trace,
     spectrum_entropy,
     tensor_product,
-    von_neumann_entropy,
 )
 from unruh_coherence import linalg
 
@@ -174,7 +173,7 @@ def test_empty_batch(shape):
     values = hermitian_eigenvalues(np.zeros(shape))
     assert values.shape == shape[:-1]
     assert linalg.check_unit_trace(values) is values
-    assert von_neumann_entropy(np.zeros(shape)).shape == shape[:-2]
+    assert spectrum_entropy(values).shape == shape[:-2]
 
 
 def test_diagonal_input_is_exact():
@@ -219,17 +218,17 @@ def test_non_finite_rejected():
 
 
 def test_entropy_maximally_mixed_is_two_bits():
-    assert von_neumann_entropy(np.eye(4) / 4.0) == 2.0
+    assert spectrum_entropy(hermitian_eigenvalues(np.eye(4) / 4.0)) == 2.0
 
 
 def test_entropy_pure_state_is_zero():
-    assert von_neumann_entropy(oracles.singlet_state()) == pytest.approx(0.0, abs=1e-12)
+    values = hermitian_eigenvalues(oracles.singlet_state())
+    assert spectrum_entropy(values) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_uniform_rank_two():
-    assert von_neumann_entropy(np.diag([0.5, 0.0, 0.0, 0.5])) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    values = hermitian_eigenvalues(np.diag([0.5, 0.0, 0.0, 0.5]))
+    assert spectrum_entropy(values) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_entropy_agrees_with_eigvalsh_oracle():
@@ -237,7 +236,7 @@ def test_entropy_agrees_with_eigvalsh_oracle():
     for dim in (2, 3, 4, 8):
         for _ in range(50):
             rho = oracles.random_density(rng, dim)
-            assert von_neumann_entropy(rho) == pytest.approx(
+            assert spectrum_entropy(hermitian_eigenvalues(rho)) == pytest.approx(
                 oracles.entropy_bits(rho), abs=1e-9
             )
 
@@ -248,8 +247,8 @@ def test_entropy_unitarily_invariant():
         rho = oracles.random_density(rng, 4)
         u = oracles.random_unitary(rng, 4)
         rotated = u @ rho @ u.conj().T
-        assert von_neumann_entropy(rotated) == pytest.approx(
-            von_neumann_entropy(rho), abs=1e-9
+        assert spectrum_entropy(hermitian_eigenvalues(rotated)) == pytest.approx(
+            spectrum_entropy(hermitian_eigenvalues(rho)), abs=1e-9
         )
 
 
@@ -257,7 +256,8 @@ def test_entropy_bounds():
     rng = np.random.default_rng(SEED + 7)
     for dim in (2, 4):
         for _ in range(100):
-            s = float(von_neumann_entropy(oracles.random_density(rng, dim)))
+            rho = oracles.random_density(rng, dim)
+            s = float(spectrum_entropy(hermitian_eigenvalues(rho)))
             assert -1e-9 <= s <= np.log2(dim) + 1e-9
 
 
@@ -279,7 +279,7 @@ def test_spectrum_entropy_rejects_nan():
 
 def test_entropy_trace_check():
     with pytest.raises(ValidationError):
-        von_neumann_entropy(np.eye(4))  # trace 4
+        linalg.check_unit_trace(hermitian_eigenvalues(np.eye(4)))  # trace 4
 
 
 def test_unit_trace_check_rejects_nan():

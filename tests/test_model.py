@@ -238,7 +238,32 @@ def test_nu_squared_examples():
 )
 def test_nu_squared_falls_back_to_log_space(omega, eps, kappa, want):
     phys = PhysicalParams(omega=omega, accel=1.0, eps=eps, delta=1.0, kappa=kappa)
-    assert nu_squared_from_physical(phys) == pytest.approx(want, rel=1e-11)
+    assert nu_squared_from_physical(phys) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+# Where eps*eps or a later partial product is subnormal or 0, nu^2 also
+# comes from its log.  Truth from 50-digit mpmath; all at omega=accel=1.
+@pytest.mark.parametrize(
+    "eps, delta, kappa, want",
+    [
+        (1e-170, 1e300, 0.0, 1.59154943091895e-41),  # eps^2 = 0
+        (1e-160, 1e300, 0.0, 1.59154943091895e-21),  # eps^2 subnormal
+        (1e150, 1.0, 30.0, 2.17163293084248e-92),  # exp factor = 0
+    ],
+)
+def test_nu_squared_takes_the_log_route_past_an_underflow(eps, delta, kappa, want):
+    phys = PhysicalParams(omega=1.0, accel=1.0, eps=eps, delta=delta, kappa=kappa)
+    assert nu_squared_from_physical(phys) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_nu_squared_keeps_the_direct_product_on_ordinary_inputs():
+    rng = np.random.default_rng(SEED)
+    draws = 10.0 ** rng.uniform(-3.0, 3.0, size=(10000, 4))
+    draws[:, 3] *= 1e-5  # kappa, so that omega*kappa <= 10
+    for omega, eps, delta, kappa in draws.tolist():
+        phys = PhysicalParams(omega=omega, accel=1.0, eps=eps, delta=delta, kappa=kappa)
+        direct = eps * eps * omega * delta * math.exp(-(omega * omega) * (kappa * kappa))
+        assert nu_squared_from_physical(phys) == direct / (2.0 * math.pi)
 
 
 def test_physical_params_validation_and_warnings():

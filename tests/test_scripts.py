@@ -31,15 +31,15 @@ def test_make_surface_data_writes_the_sweep_csv(tmp_path, capsys):
     assert "skipped undefined point" in printed.err
 
 
-def test_coherence_floor_reports_the_golden_section_minimum(capsys):
-    assert load_script("coherence_floor").main(["--nu", "0.5"]) == 0
+def test_coherence_floor_reports_the_minimum(capsys):
+    assert load_script("coherence_floor").main(["--nu", "0.5", "1e-4"]) == 0
     printed = capsys.readouterr()
-    header, row = printed.out.splitlines()
-    assert header.split() == ["nu", "q_min", "c_total_min", "dense_gap"]
-    nu, q_star, value, dense_gap = (float(x) for x in row.split())
-    want_q, want_value = find_min_c_total(0.5)
-    assert nu == 0.5
-    assert q_star == pytest.approx(want_q, abs=1e-6)
-    assert value == pytest.approx(want_value, abs=1e-12)
-    assert dense_gap <= 1e-6
+    header, *rows = printed.out.splitlines()
+    assert header.split() == ["nu", "q_min", "c_total_min"]
+    assert len(rows) == 2
+    for row in rows:
+        nu, q_star, value = (float(x) for x in row.split())
+        want_q, want_value = find_min_c_total(nu)
+        assert q_star == pytest.approx(want_q, abs=1e-12)
+        assert value == pytest.approx(want_value, abs=1e-12)
     assert printed.err == ""

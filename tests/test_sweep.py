@@ -6,12 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from unruh_coherence import (
     DomainError,
     SweepSpec,
     ValidationError,
+    alpha_beta_gamma,
+    closed_form_spectra,
     coherence_closed_form,
+    coherence_components,
+    detector_matrix,
     find_min_c_total,
+    measures_from_spectra,
     run_sweep,
     verify_grid,
     verify_sweep,
@@ -187,6 +193,14 @@ def test_format_value_normalizes():
     assert format_value(-0.0) == "0"
     assert format_value(0.125) == "0.125"
     assert len(format_value(1.0 / 3.0).replace("0.", "")) == 12
+    # the "%.12g" template is format(v, ".12g") on every edge value
+    edges = [0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e-320]
+    edges += [2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+    for v in edges:
+        assert format_value(v) == format(v, ".12g")
+    assert [format_value(v) for v in (np.inf, -np.inf, np.nan, 5e-324)] == [
+        "inf", "-inf", "nan", "4.94065645841e-324"
+    ]
 
 
 # -------------------------------------------------------------------- verify
@@ -220,6 +234,22 @@ def test_path_gap_is_only_the_spectra_gap(spec):
     assert verify_grid(spec).max_path_gap <= 1e-13
 
 
+def test_gates_hold_over_the_whole_float_domain():
+    # nu log-spaced over the float range; q uniform, within 1e-16 of 0
+    # or within 1e-16 of 1; both routes as sweep_arrays runs them
+    rng = np.random.default_rng(20240814)
+    nu = np.logspace(-300, 300, 5001)
+    u = rng.random(nu.size)
+    q = np.choose(np.arange(nu.size) % 3, [u, 1e-16 * u, 1.0 - 1e-16 * u])
+    alpha, beta, gamma = alpha_beta_gamma(q, nu)
+    measures = measures_from_spectra(closed_form_spectra(alpha, beta, gamma), 4)
+    numeric = coherence_components(detector_matrix(alpha, beta, gamma), (2, 2))
+    assert np.all(np.isfinite(measures)) and np.all(np.isfinite(numeric))
+    assert np.max(np.abs(np.subtract(measures, numeric))) <= 1e-9
+    total, collective, localized = measures
+    assert np.min(collective + localized - total) >= -1e-9
+
+
 def test_verify_zero_coupling_row_is_monotone():
     spec = SweepSpec(q_max=0.0, q_steps=1, nu_steps=51)
     report = verify_grid(spec, tol=1e-9)
@@ -240,13 +270,15 @@ def test_verify_unreachable_tolerance_fails():
 
 
 def test_find_min_matches_dense_scan():
-    for nu in (0.1, 0.5, 1.0):
+    # the oracle scans log-spaced in 1 - q, so it resolves the dip that
+    # sits within about nu^2/2 of q = 1 at small nu
+    dense_q = 1.0 - np.logspace(-14, 0, 400001)
+    for nu in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 10.0, 1e3):
         q_star, value = find_min_c_total(nu)
-        dense_q = np.linspace(0.0, 1.0, 10001)
-        dense_vals = np.asarray(coherence_closed_form(dense_q, np.full_like(dense_q, nu)).c_total)
+        dense_vals = oracles.c_total_ref(dense_q, nu)
         k = int(np.argmin(dense_vals))
         assert abs(q_star - dense_q[k]) <= 1e-3
-        assert abs(value - float(dense_vals[k])) <= 1e-6
+        assert abs(value - float(dense_vals[k])) <= 1e-9
         assert value > 0.0
 
 
